@@ -12,15 +12,13 @@
 //!   (encoder-shaped request through a [`DecisionEngine`]), measured
 //!   with the serve crate's own HDR histogram.
 //! * **batched vs serial decisions** — eight coalesced requests through
-//!   one `decide_batch` GEMM pass vs eight `decide_one` gemv passes,
-//!   on a **Theta-scale engine** (weight matrices far beyond cache, so
-//!   coalescing amortises the DRAM streaming cost across the batch).
-//!   The batched cell carries the in-run per-decision ratio (gated).
-//!   On this single-core host the ratio hovers near parity: the packed
-//!   GEMM's per-element cost roughly offsets the streaming savings, so
-//!   micro-batching's measured value is queue smoothing under load, not
-//!   raw throughput — the gate exists to catch either path regressing
-//!   relative to the other.
+//!   one `decide_batch` pass vs eight `decide_one` passes, on a
+//!   **Theta-scale engine** (weight matrices far beyond cache). Both run
+//!   every row through the same gemv kernel, so the batched cell's
+//!   in-run per-decision ratio (gated) sits at parity: micro-batching's
+//!   value is queue smoothing under load, not raw throughput, and the
+//!   gate exists to catch either path regressing relative to the
+//!   other.
 //! * **open-arrival load test** — the full micro-batching service under
 //!   a seeded Poisson schedule; **zero shed requests is asserted**, so
 //!   a batcher that starts dropping under CI quick-mode load fails the
@@ -201,9 +199,9 @@ fn main() {
             ],
             tags: vec![("engine".to_string(), "window10_2res".to_string())],
         },
-        // Gated: per-decision speedup of one 8-row GEMM pass over eight
-        // gemv passes on the Theta-scale engine, same requests, same
-        // process.
+        // Gated: per-decision speedup of one 8-row batched pass over
+        // eight single-request passes on the Theta-scale engine, same
+        // requests, same process.
         BenchRecord {
             bench: "serve/batched8/theta_2res".to_string(),
             group: "serve".to_string(),

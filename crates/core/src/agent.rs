@@ -147,29 +147,22 @@ impl Policy for MrschPolicy<'_> {
 /// encoder and goal mode, packaged as a self-contained boxed
 /// [`mrsim::Policy`] (built via `Mrsch::into_eval_policy`). This is the
 /// form the `mrsch_eval` registry hands to the evaluation harness: it
-/// acts greedily, logs the goal vector per decision, and
-/// [`Policy::reset`] clears that log so one instance can be reused
-/// across episodes.
+/// acts greedily and keeps no per-decision state, so one instance can
+/// be reused across episodes.
 pub struct TrainedMrschPolicy {
     agent: DfpAgent,
     encoder: StateEncoder,
     goal_mode: GoalMode,
-    goal_log: Vec<(SimTime, Vec<f32>)>,
 }
 
 impl TrainedMrschPolicy {
     pub(crate) fn new(agent: DfpAgent, encoder: StateEncoder, goal_mode: GoalMode) -> Self {
-        Self { agent, encoder, goal_mode, goal_log: Vec::new() }
+        Self { agent, encoder, goal_mode }
     }
 
     /// The wrapped agent (checkpointing, inspection).
     pub fn agent(&self) -> &DfpAgent {
         &self.agent
-    }
-
-    /// The goal vectors logged at each decision of the latest episode.
-    pub fn goal_log(&self) -> &[(SimTime, Vec<f32>)] {
-        &self.goal_log
     }
 }
 
@@ -182,12 +175,7 @@ impl Policy for TrainedMrschPolicy {
         let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
         let goal = self.goal_mode.goal_for(view);
         let valid = self.encoder.valid_actions(view);
-        self.goal_log.push((view.now, goal.clone()));
         self.agent.act(&state, &meas, &goal, &valid, false)
-    }
-
-    fn reset(&mut self) {
-        self.goal_log.clear();
     }
 
     fn name(&self) -> &'static str {

@@ -275,14 +275,13 @@ impl DfpNetwork {
     }
 
     /// Batched [`DfpNetwork::action_scores_shared`]: score every action
-    /// for `B` independent samples in one packed forward pass.
+    /// for `B` independent samples in one forward pass.
     ///
     /// Row `r` of the result is **bit-identical** to
     /// `action_scores_shared(states.row(r), meas.row(r), goals.row(r))`:
-    /// the GEMM determinism contract makes each output element a
-    /// per-(row, column) reduction chain independent of the batch
-    /// extent, the dueling combination is per-row, and the goal-weighted
-    /// dot below runs in the exact same order. This is the correctness
+    /// inference runs every row through the same per-row gemv kernel,
+    /// the dueling combination is per-row, and the goal-weighted dot
+    /// below runs in the exact same order. This is the correctness
     /// basis of the serving micro-batcher — coalescing requests cannot
     /// change a decision.
     pub fn action_scores_batched(
@@ -596,7 +595,7 @@ mod tests {
         }
     }
 
-    /// Micro-batching contract: one packed B-row scoring pass must be
+    /// Micro-batching contract: one B-row scoring pass must be
     /// bit-identical to B independent single-sample calls.
     #[test]
     fn batched_scores_bit_identical_to_shared() {

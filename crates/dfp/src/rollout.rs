@@ -220,14 +220,13 @@ pub fn act_epsilon_greedy<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Option<usize> {
     assert_eq!(valid.len(), net.config().num_actions, "valid mask length");
-    let valid_indices: Vec<usize> =
-        valid.iter().enumerate().filter(|(_, &v)| v).map(|(i, _)| i).collect();
-    if valid_indices.is_empty() {
+    if !valid.iter().any(|&v| v) {
         return None;
     }
     if explore && rng.gen::<f32>() < epsilon {
-        let pick = valid_indices[rng.gen_range(0..valid_indices.len())];
-        return Some(pick);
+        let count = valid.iter().filter(|&&v| v).count();
+        let nth = rng.gen_range(0..count);
+        return valid.iter().enumerate().filter(|(_, &v)| v).map(|(i, _)| i).nth(nth);
     }
     let scores = net.action_scores_shared(state, meas, goal);
     greedy_from_scores(&scores, valid)

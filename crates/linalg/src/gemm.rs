@@ -340,7 +340,13 @@ fn gemm_into_core(
         if trans_b {
             crate::gemv::gemv_at_into(c.as_mut_slice(), a.as_slice(), b, crate::gemv::Epilogue::None);
         } else {
-            crate::gemv::gemv_into(c.as_mut_slice(), a.as_slice(), b, crate::gemv::Epilogue::None);
+            crate::gemv::gemv_into(
+                c.as_mut_slice(),
+                a.as_slice(),
+                b,
+                crate::gemv::Epilogue::None,
+                crate::gemv::ZeroRows::Stream,
+            );
         }
         return;
     }

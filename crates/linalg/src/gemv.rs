@@ -6,16 +6,23 @@
 //! pass first (tripling memory traffic on a shape that is already
 //! memory-bound). These kernels skip packing entirely:
 //!
-//! * [`gemv_into`]    — `y = x · B`   (B stored `k x n`): axpy-style
-//!   row streaming — each row of B is read once at unit stride (the
-//!   whole operand streams through the prefetcher exactly once) and
-//!   accumulates into the L1-resident output row, broadcasting `x[k]`.
+//! * [`gemv_into`]    — `y = x · B`   (B stored `k x n`). Two loop
+//!   orders, chosen on the byte size of B:
+//!   - **register blocks** (B up to [`REGISTER_BLOCK_MAX_BYTES`], e.g.
+//!     a DFP layer that stays cache-resident from one decision to the
+//!     next): 64 output columns live in registers while the
+//!     contraction runs down the rows of B, so `y` is loaded and stored
+//!     once per pass instead of once per row;
+//!   - **axpy streaming** (larger B, which comes from memory on every
+//!     call): each row of B is read once at unit stride and accumulated
+//!     into the L1-resident output row, so the prefetcher sees one
+//!     sequential stream.
 //! * [`gemv_at_into`] — `y = x · Bᵀ`  (B stored `n x k`): per-output
 //!   dot-product chains, four rows in flight for FMA-latency overlap.
 //!
-//! Both take a fusable [`Epilogue`] (bias add, bias + ReLU) so a dense
-//! layer's batch-1 inference is one pass over the weights with no
-//! intermediate write-back.
+//! Both take a fusable [`Epilogue`] (bias add, bias + ReLU, bias +
+//! leaky ReLU) so a dense layer's inference is one pass over the
+//! weights with no intermediate write-back.
 //!
 //! # Determinism contract
 //!
@@ -26,12 +33,37 @@
 //! bit-identical to [`crate::gemm::reference`], to the direct and packed
 //! GEMM paths, and across the AVX2+FMA and portable instantiations. The
 //! fused bias is the same single `+` the unfused
-//! `Matrix::add_row_broadcast` performs, and the fused ReLU is exactly
-//! `x.max(0.0)` — one rounding either way.
+//! `Matrix::add_row_broadcast` performs, and the fused rectifiers are
+//! exactly `Activation::Relu`'s `x.max(0.0)` and
+//! `Activation::LeakyRelu`'s `if x >= 0.0 { x } else { a * x }` — one
+//! rounding either way.
+//!
+//! # Zero-input rows
+//!
+//! With [`ZeroRows::Skip`], [`gemv_into`] does not read row `k` of B
+//! when `x[k]` is `±0` — about half of the DFP state encoder's inputs.
+//! This stays bit-identical to the full chain whenever every element of
+//! B is finite:
+//!
+//! * a skipped term is `acc + x[k]·B[k][j]` with an exact `±0` product,
+//!   which returns `acc` unchanged unless `acc` is itself a zero. So
+//!   the skipping chain and the full chain either hold the same bits or
+//!   both hold a zero, possibly of opposite sign (a chain reaches `-0.0`
+//!   only when a nonzero product underflows to it);
+//! * the next nonzero product overwrites such a zero identically on
+//!   both chains, so a **nonzero** result of the skipping chain is the
+//!   full chain's result. A zero result is recomputed over every row,
+//!   which settles its sign.
+//!
+//! A non-finite weight breaks the first step (`0 · inf` is NaN, which
+//! must reach the output), so skipping is allowed only under the
+//! finite-weights guard: callers pass [`ZeroRows::when_finite`] (or a
+//! cached copy of it, as `mrsch_nn::layer::Dense` does), and with
+//! [`ZeroRows::Stream`] every row is read.
 
 use crate::matrix::Matrix;
 
-/// Operation fused onto the kernel's register block before write-back.
+/// Operation fused onto the kernel's output before write-back.
 #[derive(Clone, Copy, Debug)]
 pub enum Epilogue<'a> {
     /// Plain contraction: `y = x · op(B)`.
@@ -42,6 +74,9 @@ pub enum Epilogue<'a> {
     /// `y = max(x · op(B) + bias, 0)` — the ReLU is exactly
     /// `Activation::Relu`'s `x.max(0.0)`.
     BiasRelu(&'a [f32]),
+    /// `y = leaky(x · op(B) + bias)` with slope `a` — exactly
+    /// `Activation::LeakyRelu(a)`'s `if v >= 0.0 { v } else { a * v }`.
+    BiasLeakyRelu(&'a [f32], f32),
 }
 
 /// Apply the epilogue to the full accumulator row.
@@ -59,8 +94,53 @@ fn apply_epilogue(acc: &mut [f32], epilogue: Epilogue<'_>) {
                 *a = (*a + bv).max(0.0);
             }
         }
+        Epilogue::BiasLeakyRelu(bias, slope) => {
+            for (a, &bv) in acc.iter_mut().zip(bias) {
+                let v = *a + bv;
+                *a = if v >= 0.0 { v } else { slope * v };
+            }
+        }
     }
 }
+
+/// Whether [`gemv_into`] may skip the rows of B whose input is `±0`
+/// (see the module docs for why that is exact only for finite B).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ZeroRows {
+    /// Read every row: exact for any B, inf and NaN included.
+    Stream,
+    /// Skip rows whose input is `±0`. Bit-identical to [`Self::Stream`]
+    /// only when every element of B is finite; obtain it through
+    /// [`Self::when_finite`].
+    Skip,
+}
+
+impl ZeroRows {
+    /// [`ZeroRows::Skip`] when every element of `b` is finite, else
+    /// [`ZeroRows::Stream`]. Scans `b` once; callers that contract the
+    /// same operand repeatedly cache the answer.
+    pub fn when_finite(b: &Matrix) -> Self {
+        if b.all_finite() {
+            ZeroRows::Skip
+        } else {
+            ZeroRows::Stream
+        }
+    }
+}
+
+/// Largest B, in bytes, that [`gemv_into`] contracts in register
+/// blocks. The blocked order reads each row of B in pieces of up to
+/// 256 bytes, one column block at a time: that wins while B stays in
+/// L2 between calls, but a larger B comes from memory every call, and
+/// there the single sequential stream of the axpy order keeps the
+/// prefetcher ahead.
+pub const REGISTER_BLOCK_MAX_BYTES: usize = 1 << 20;
+
+/// Output columns per register block: eight 8-lane AVX2 accumulators.
+const NB: usize = 64;
+
+/// Rows of B gathered per pass; bounds the on-stack row-index list.
+const KC: usize = 256;
 
 // ---------------------------------------------------------------------------
 // y = x · B  (B stored k x n)
@@ -74,55 +154,144 @@ fn apply_epilogue(acc: &mut [f32], epilogue: Epilogue<'_>) {
 /// # Panics
 /// Panics when `x.len() != B.rows()` or `y.len() != B.cols()`, or when a
 /// bias epilogue is shorter than `y`.
-pub fn gemv_into(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
+pub fn gemv_into(
+    y: &mut [f32],
+    x: &[f32],
+    b: &Matrix,
+    epilogue: Epilogue<'_>,
+    zero_rows: ZeroRows,
+) {
     assert_eq!(x.len(), b.rows(), "gemv: x length != B rows");
     assert_eq!(y.len(), b.cols(), "gemv: y length != B cols");
     assert_epilogue_len(y.len(), epilogue);
     #[cfg(target_arch = "x86_64")]
     if crate::gemm::fma_available() {
         // SAFETY: avx2 + fma presence verified by `fma_available`.
-        unsafe { gemv_fma(y, x, b, epilogue) };
+        unsafe { gemv_fma(y, x, b, epilogue, zero_rows) };
         return;
     }
-    gemv_body(y, x, b, epilogue);
+    gemv_body(y, x, b, epilogue, zero_rows);
 }
 
 /// The portable instantiation of [`gemv_into`], callable on any host —
 /// exists so bit-identity tests can compare both ISA paths on one
 /// machine.
-pub fn gemv_portable_into(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
+pub fn gemv_portable_into(
+    y: &mut [f32],
+    x: &[f32],
+    b: &Matrix,
+    epilogue: Epilogue<'_>,
+    zero_rows: ZeroRows,
+) {
     assert_eq!(x.len(), b.rows(), "gemv: x length != B rows");
     assert_eq!(y.len(), b.cols(), "gemv: y length != B cols");
     assert_epilogue_len(y.len(), epilogue);
-    gemv_body(y, x, b, epilogue);
+    gemv_body(y, x, b, epilogue, zero_rows);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemv_fma(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
-    gemv_body(y, x, b, epilogue);
+unsafe fn gemv_fma(
+    y: &mut [f32],
+    x: &[f32],
+    b: &Matrix,
+    epilogue: Epilogue<'_>,
+    zero_rows: ZeroRows,
+) {
+    gemv_body(y, x, b, epilogue, zero_rows);
 }
 
-/// The shared kernel body. Axpy-style row streaming: the output row is
-/// the accumulator (L1-resident for any realistic layer width) and each
-/// row of B is read exactly once at unit stride — the shape is
-/// memory-bound, so the whole win is letting the prefetcher see one
-/// sequential 4·k·n-byte stream instead of column-block strides. Each
-/// `y[j]` remains a single `mul_add` chain in increasing-`k` order
-/// (vectorization is across `j` only), so results stay bit-identical to
-/// the reference.
+/// The shared kernel body. Rows of B are taken in passes of up to
+/// [`KC`]: a pass first lists the rows it contracts (all of them, or
+/// those with a nonzero input under [`ZeroRows::Skip`]) without a
+/// branch, then runs them in increasing order through register blocks
+/// (narrowing from [`NB`] columns so the last columns are register
+/// chains too) or through the axpy row stream. A pass reloads each
+/// block from `y`, which continues every chain exactly where the
+/// previous pass left it.
 #[inline(always)]
-fn gemv_body(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
+fn gemv_body(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>, zero_rows: ZeroRows) {
     let n = b.cols();
     let bs = b.as_slice();
+    let skip = zero_rows == ZeroRows::Skip;
+    let blocked = std::mem::size_of_val(bs) <= REGISTER_BLOCK_MAX_BYTES;
     y.fill(0.0);
-    for (kk, &xv) in x.iter().enumerate() {
-        let brow = &bs[kk * n..kk * n + n];
-        for (a, &bv) in y.iter_mut().zip(brow) {
-            *a = xv.mul_add(bv, *a);
+    let mut live_rows = [0usize; KC];
+    let mut skipped = false;
+    for (pass, xs) in x.chunks(KC).enumerate() {
+        let mut live = 0;
+        for (i, &xv) in xs.iter().enumerate() {
+            live_rows[live] = pass * KC + i;
+            live += usize::from(!(skip && xv == 0.0));
+        }
+        skipped |= live < xs.len();
+        let rows = &live_rows[..live];
+        if blocked {
+            let mut j0 = 0;
+            while j0 + NB <= n {
+                j0 = register_block::<NB>(y, x, bs, j0, rows);
+            }
+            if j0 + 32 <= n {
+                j0 = register_block::<32>(y, x, bs, j0, rows);
+            }
+            if j0 + 16 <= n {
+                j0 = register_block::<16>(y, x, bs, j0, rows);
+            }
+            if j0 + 8 <= n {
+                j0 = register_block::<8>(y, x, bs, j0, rows);
+            }
+            if j0 + 4 <= n {
+                j0 = register_block::<4>(y, x, bs, j0, rows);
+            }
+            while j0 < n {
+                j0 = register_block::<1>(y, x, bs, j0, rows);
+            }
+        } else {
+            for &kk in rows {
+                let xv = x[kk];
+                for (a, &bv) in y.iter_mut().zip(&bs[kk * n..kk * n + n]) {
+                    *a = xv.mul_add(bv, *a);
+                }
+            }
+        }
+    }
+    if skipped {
+        // Only a zero can differ from the full chain (module docs):
+        // recompute those over every row.
+        for (j, out) in y.iter_mut().enumerate() {
+            if *out == 0.0 {
+                *out = x
+                    .iter()
+                    .enumerate()
+                    .fold(0.0f32, |acc, (kk, &xv)| xv.mul_add(bs[kk * n + j], acc));
+            }
         }
     }
     apply_epilogue(y, epilogue);
+}
+
+/// Continue the chains of columns `j0..j0 + W` over `rows`, holding
+/// them in registers; returns the next column.
+#[inline(always)]
+fn register_block<const W: usize>(
+    y: &mut [f32],
+    x: &[f32],
+    bs: &[f32],
+    j0: usize,
+    rows: &[usize],
+) -> usize {
+    let n = y.len();
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&y[j0..j0 + W]);
+    for &kk in rows {
+        let xv = x[kk];
+        let brow = &bs[kk * n + j0..kk * n + j0 + W];
+        for (a, &bv) in acc.iter_mut().zip(brow) {
+            *a = xv.mul_add(bv, *a);
+        }
+    }
+    y[j0..j0 + W].copy_from_slice(&acc);
+    j0 + W
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +367,9 @@ fn gemv_at_body(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
 }
 
 fn assert_epilogue_len(n: usize, epilogue: Epilogue<'_>) {
-    if let Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) = epilogue {
+    if let Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) | Epilogue::BiasLeakyRelu(bias, _) =
+        epilogue
+    {
         assert!(bias.len() >= n, "gemv: bias shorter than output ({} < {n})", bias.len());
     }
 }
@@ -208,10 +379,11 @@ fn assert_epilogue_len(n: usize, epilogue: Epilogue<'_>) {
 // ---------------------------------------------------------------------------
 
 /// `y = x · B` as matrices: `x` is `1 x k`, `B` is `k x n`, result `1 x n`.
+/// Reads every row of B ([`ZeroRows::Stream`]).
 pub fn gemv(x: &Matrix, b: &Matrix, epilogue: Epilogue<'_>) -> Matrix {
     assert_eq!(x.rows(), 1, "gemv: x must be a row vector");
     let mut y = Matrix::zeros(1, b.cols());
-    gemv_into(y.as_mut_slice(), x.as_slice(), b, epilogue);
+    gemv_into(y.as_mut_slice(), x.as_slice(), b, epilogue, ZeroRows::Stream);
     y
 }
 
@@ -293,8 +465,8 @@ mod tests {
         for ep in [Epilogue::None, Epilogue::Bias(bias.as_slice()), Epilogue::BiasRelu(bias.as_slice())] {
             let mut fast = vec![0.0f32; n];
             let mut portable = vec![0.0f32; n];
-            gemv_into(&mut fast, x.as_slice(), &b, ep);
-            gemv_portable_into(&mut portable, x.as_slice(), &b, ep);
+            gemv_into(&mut fast, x.as_slice(), &b, ep, ZeroRows::Stream);
+            gemv_portable_into(&mut portable, x.as_slice(), &b, ep, ZeroRows::Stream);
             assert_eq!(fast, portable);
         }
         let bt = lcg_matrix(n, k, 15);

@@ -7,8 +7,9 @@
 //! * a row-major [`Matrix`] of `f32` with shape-checked arithmetic,
 //! * a layered, packed micro-kernel GEMM (optionally thread-parallel)
 //!   in [`gemm`], with panel packing in [`pack`],
-//! * fused batch-1 matrix–vector kernels with a bias/ReLU epilogue (the
-//!   decision-serving hot path) in [`gemv`],
+//! * fused matrix–vector kernels with a bias/rectifier epilogue and
+//!   exact skipping of zero-input rows (the decision-serving hot path)
+//!   in [`gemv`],
 //! * weight initializers (Xavier/He, Box–Muller normal) in [`init`],
 //! * summary statistics helpers in [`stats`].
 //!
@@ -33,7 +34,7 @@ pub use gemm::{
     default_policy, kernel_isa, matmul, matmul_a_bt, matmul_a_bt_into, matmul_a_bt_with,
     matmul_at_b, matmul_at_b_with, matmul_into, matmul_with, set_default_policy, ParallelPolicy,
 };
-pub use gemv::{gemv, gemv_at, gemv_at_into, gemv_into, Epilogue};
+pub use gemv::{gemv, gemv_at, gemv_at_into, gemv_into, Epilogue, ZeroRows};
 pub use matrix::Matrix;
 
 /// Absolute tolerance used by the crate's own tests when comparing floats.

@@ -13,10 +13,11 @@
 //! `mrsch_linalg::gemm` determinism contract.
 
 use mrsch_linalg::{
-    gemv, init, matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_into, Matrix,
+    gemv, init, matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, Matrix, ZeroRows,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Element-wise activation functions.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -80,15 +81,21 @@ impl Activation {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Dense {
     /// Weight matrix, `(fan_in, fan_out)`.
-    pub w: Matrix,
+    pub(crate) w: Matrix,
     /// Bias row vector, `(1, fan_out)`.
-    pub b: Matrix,
+    pub(crate) b: Matrix,
     /// Accumulated weight gradient.
-    pub grad_w: Matrix,
+    pub(crate) grad_w: Matrix,
     /// Accumulated bias gradient.
-    pub grad_b: Matrix,
+    pub(crate) grad_b: Matrix,
     #[serde(skip)]
     cached_input: Option<Matrix>,
+    /// [`ZeroRows::when_finite`] of `w`, computed on the first inference
+    /// and cleared by every `&mut` path that can change `w`
+    /// ([`Layer::visit_params`]), so inference skips zero-input rows
+    /// only while the weights are known finite.
+    #[serde(skip)]
+    zero_rows: OnceLock<ZeroRows>,
 }
 
 impl Dense {
@@ -101,6 +108,7 @@ impl Dense {
             grad_w: Matrix::zeros(fan_in, fan_out),
             grad_b: Matrix::zeros(1, fan_out),
             cached_input: None,
+            zero_rows: OnceLock::new(),
         }
     }
 
@@ -128,30 +136,34 @@ impl Dense {
         y
     }
 
-    /// Allocation-free forward into a caller-owned buffer.
+    /// Allocation-free forward into a caller-owned buffer, optionally
+    /// fusing the activation layer that follows.
     ///
-    /// A single input row rides the fused gemv kernel with the bias (and
-    /// optionally ReLU) folded into its epilogue; larger batches use
-    /// `matmul_into` plus the broadcast. Both are bit-identical to
-    /// [`Dense::forward_inference`] (optionally followed by a ReLU
-    /// activation layer when `fuse_relu` is set) — the gemv epilogue
-    /// performs the exact same `+ bias` / `max(0.0)` scalar ops.
-    pub(crate) fn forward_inference_into(&self, x: &Matrix, out: &mut Matrix, fuse_relu: bool) {
-        if x.rows() == 1 {
-            out.reset_to_zeros(1, self.fan_out());
-            let ep = if fuse_relu {
-                gemv::Epilogue::BiasRelu(self.b.as_slice())
-            } else {
-                gemv::Epilogue::Bias(self.b.as_slice())
-            };
-            gemv::gemv_into(out.as_mut_slice(), x.row(0), &self.w, ep);
-        } else {
-            matmul_into(x, &self.w, out);
-            out.add_row_broadcast(&self.b);
-            if fuse_relu {
-                out.map_inplace(|v| v.max(0.0));
-            }
+    /// Every input row runs through the fused gemv kernel with the bias
+    /// (and a `Relu` / `LeakyRelu` `then`) in its epilogue, skipping
+    /// zero-input weight rows while the weights are finite. Bit-identical
+    /// to [`Dense::forward_inference`] followed by `then` as a separate
+    /// activation layer: each output element is the same `mul_add` chain
+    /// and the epilogue performs the same scalar ops. Returns whether
+    /// `then` was fused.
+    pub(crate) fn forward_inference_into(
+        &self,
+        x: &Matrix,
+        out: &mut Matrix,
+        then: Option<Activation>,
+    ) -> bool {
+        let bias = self.b.as_slice();
+        let (ep, fused) = match then {
+            Some(Activation::Relu) => (gemv::Epilogue::BiasRelu(bias), true),
+            Some(Activation::LeakyRelu(a)) => (gemv::Epilogue::BiasLeakyRelu(bias, a), true),
+            _ => (gemv::Epilogue::Bias(bias), false),
+        };
+        let zero_rows = *self.zero_rows.get_or_init(|| ZeroRows::when_finite(&self.w));
+        out.reset_to_zeros(x.rows(), self.fan_out());
+        for r in 0..x.rows() {
+            gemv::gemv_into(out.row_mut(r), x.row(r), &self.w, ep, zero_rows);
         }
+        fused
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -502,6 +514,7 @@ impl Layer {
     pub fn visit_params(&mut self, f: &mut impl FnMut(&mut Matrix, &mut Matrix)) {
         match self {
             Layer::Dense(d) => {
+                d.zero_rows = OnceLock::new();
                 f(&mut d.w, &mut d.grad_w);
                 f(&mut d.b, &mut d.grad_b);
             }

@@ -152,11 +152,11 @@ impl Sequential {
     /// bit-identical output (the returned reference points into the
     /// scratch and is valid until its next use).
     ///
-    /// Two fusions ride along without changing a single output bit:
-    /// a single-row `Dense` uses the fused gemv kernel with the bias in
-    /// its epilogue, and a `Dense` + `Relu` pair on a single row folds
-    /// the rectifier into that same epilogue (the epilogue performs the
-    /// exact `+ bias` / `max(0.0)` scalar ops of the unfused sequence).
+    /// Every `Dense` layer runs row by row through the fused gemv kernel
+    /// with its bias in the epilogue, and a `Dense` followed by a `Relu`
+    /// or `LeakyRelu` folds the rectifier into that same epilogue —
+    /// without changing a single output bit (the epilogue performs the
+    /// exact `+ bias` / rectifier scalar ops of the unfused sequence).
     pub fn forward_inference_scratch<'a>(
         &self,
         x: &Matrix,
@@ -171,16 +171,14 @@ impl Sequential {
         while i < self.layers.len() {
             match &self.layers[i] {
                 Layer::Dense(d) => {
-                    let fuse_relu = cur.rows() == 1
-                        && matches!(
-                            self.layers.get(i + 1),
-                            Some(Layer::Activation { func: Activation::Relu, .. })
-                        );
-                    d.forward_inference_into(cur, next, fuse_relu);
-                    std::mem::swap(&mut cur, &mut next);
-                    if fuse_relu {
-                        i += 1; // the ReLU was folded into the gemv epilogue
+                    let then = match self.layers.get(i + 1) {
+                        Some(Layer::Activation { func, .. }) => Some(*func),
+                        _ => None,
+                    };
+                    if d.forward_inference_into(cur, next, then) {
+                        i += 1; // the activation was folded into the gemv epilogue
                     }
+                    std::mem::swap(&mut cur, &mut next);
                 }
                 Layer::Activation { func, .. } => {
                     let f = *func;
@@ -197,14 +195,13 @@ impl Sequential {
     }
 
     /// Run `B` independent feature rows through the network as one
-    /// packed `(B, features)` batch.
+    /// `(B, features)` batch.
     ///
     /// Bit-identical to `B` separate single-row
-    /// [`Sequential::forward_inference`] calls: the GEMM determinism
-    /// contract makes every output element a per-(row, column) `mul_add`
-    /// chain independent of the batch extent, and activations are
-    /// element-wise. This is what lets the serving micro-batcher coalesce
-    /// concurrent decision requests without changing any decision.
+    /// [`Sequential::forward_inference`] calls: every row takes the same
+    /// per-row gemv kernel, and activations are element-wise. This is
+    /// what lets the serving micro-batcher coalesce concurrent decision
+    /// requests without changing any decision.
     ///
     /// # Panics
     /// Panics when `rows` is empty or the rows have unequal widths.
@@ -412,17 +409,92 @@ mod tests {
             net.forward_inference(&x1),
             "single-row (gemv) inference must not drift from training path"
         );
+        // Zero inputs of either sign, whose weight rows inference skips.
+        let mut xs = mrsch_linalg::init::gaussian_matrix(&mut rng, 3, 6, 1.0);
+        for (i, v) in xs.as_mut_slice().iter_mut().enumerate() {
+            match i % 3 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+        assert_bits_eq(&net.forward(&xs), &net.forward_inference(&xs), "sparse rows");
+        let xs1 = Matrix::from_vec(1, 6, xs.row(0).to_vec());
+        assert_bits_eq(&net.forward(&xs1), &net.forward_inference(&xs1), "sparse row");
     }
 
-    /// The Dense+ReLU epilogue fusion and the explicit-scratch entry point
-    /// must both reproduce the layer-by-layer path bit for bit, across
-    /// repeated calls that reuse (and re-shape) the same scratch buffers.
+    fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
+        assert_eq!(want.shape(), got.shape(), "{what}: shape");
+        for (i, (a, b)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    /// Set `w[r][c]` of the first `Dense` layer through `visit_params`,
+    /// the only `&mut` route to a layer's weights.
+    fn set_first_weight(net: &mut Sequential, r: usize, c: usize, v: f32) {
+        let mut first = true;
+        net.visit_params(&mut |p, _| {
+            if std::mem::take(&mut first) {
+                p.set(r, c, v);
+            }
+        });
+    }
+
+    fn leaky_net(rng: &mut StdRng) -> Sequential {
+        Sequential::new()
+            .dense(6, 5, rng)
+            .activation(Activation::LeakyRelu(0.2))
+            .dense(5, 3, rng)
+    }
+
+    /// `0 · inf` and `0 · NaN` are NaN: a non-finite weight in a row
+    /// whose input is zero must reach the inference output with the
+    /// training path's (the GEMM reference's) bits, single- and
+    /// multi-row.
+    #[test]
+    fn non_finite_weight_in_zero_input_row_reaches_output() {
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut net = leaky_net(&mut rng);
+            set_first_weight(&mut net, 2, 1, bad);
+            let mut x = mrsch_linalg::init::gaussian_matrix(&mut rng, 3, 6, 1.0);
+            for r in 0..3 {
+                x.set(r, 2, 0.0);
+            }
+            let want = net.forward(&x);
+            assert!(want.as_slice().iter().all(|v| v.is_nan()));
+            assert_bits_eq(&want, &net.forward_inference(&x), "non-finite rows");
+            let x1 = Matrix::from_vec(1, 6, x.row(0).to_vec());
+            assert_bits_eq(&net.forward(&x1), &net.forward_inference(&x1), "non-finite row");
+        }
+    }
+
+    /// The finiteness a `Dense` caches on its first inference must not
+    /// outlive a weight change made through `visit_params`.
+    #[test]
+    fn visit_params_resets_cached_finiteness() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut net = leaky_net(&mut rng);
+        let mut x = mrsch_linalg::init::gaussian_matrix(&mut rng, 1, 6, 1.0);
+        x.set(0, 4, 0.0);
+        assert!(net.forward_inference(&x).all_finite(), "finite weights cached");
+        set_first_weight(&mut net, 4, 0, f32::NAN);
+        let got = net.forward_inference(&x);
+        assert!(got.as_slice().iter().all(|v| v.is_nan()), "stale cache skipped the NaN row");
+        assert_bits_eq(&net.forward(&x), &got, "after visit_params");
+    }
+
+    /// The Dense+ReLU and Dense+LeakyReLU epilogue fusions and the
+    /// explicit-scratch entry point must reproduce the layer-by-layer
+    /// training path bit for bit, across repeated calls that reuse (and
+    /// re-shape) the same scratch buffers.
     #[test]
     fn scratch_inference_bit_identical_and_reusable() {
         let mut rng = StdRng::seed_from_u64(21);
         let net = Sequential::new()
             .dense(5, 12, &mut rng)
-            .activation(Activation::Relu) // fused into the gemv epilogue on 1-row inputs
+            .activation(Activation::Relu) // fused into the gemv epilogue
             .dense(12, 7, &mut rng)
             .activation(Activation::LeakyRelu(0.01))
             .dense(7, 4, &mut rng);
@@ -436,7 +508,7 @@ mod tests {
         for rows in [1usize, 3, 1, 8] {
             let x = mrsch_linalg::init::gaussian_matrix(&mut rng, rows, 5, 1.0);
             for net in [&net, &conv_net] {
-                let want = net.forward_inference(&x);
+                let want = net.clone().forward(&x);
                 let got = net.forward_inference_scratch(&x, &mut scratch);
                 assert_eq!(got.shape(), want.shape());
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
@@ -446,7 +518,7 @@ mod tests {
         }
     }
 
-    /// One packed `(B, features)` batch must decide exactly like `B`
+    /// One `(B, features)` batch must decide exactly like `B`
     /// independent single-row calls — the micro-batching correctness
     /// contract.
     #[test]

@@ -4,8 +4,8 @@
 //! either the queue depth reaches `max_batch` **or** the oldest queued
 //! request has waited `max_delay` (the classic depth-`B`-or-deadline-τ
 //! micro-batching policy). Each flush is one
-//! [`DecisionEngine::decide_batch`] call — one packed GEMM amortized
-//! over the whole batch.
+//! [`DecisionEngine::decide_batch`] call — one forward pass over the
+//! whole batch, row by row through the gemv kernel.
 //!
 //! Because batched and single decisions are bit-identical (see
 //! [`crate::engine`]), the *decisions* served are a pure function of

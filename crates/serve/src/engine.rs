@@ -6,14 +6,14 @@
 //! two entry points:
 //!
 //! * [`DecisionEngine::decide_one`] — one request, one fused-gemv
-//!   forward pass (`m == 1` routes through the row-blocked gemv
-//!   kernel);
+//!   forward pass;
 //! * [`DecisionEngine::decide_batch`] — `B` coalesced requests, one
-//!   packed-GEMM forward pass over a `B`-row input.
+//!   forward pass over a `B`-row input whose rows each run through the
+//!   same fused gemv kernel.
 //!
-//! The two are **bit-identical** per request: every output element of a
-//! GEMM is a `mul_add` chain over its own row/column only, so stacking
-//! rows can never change any row's result. `decide_batch` therefore
+//! The two are **bit-identical** per request: every output element is a
+//! `mul_add` chain over its own row only, so stacking rows can never
+//! change any row's result. `decide_batch` therefore
 //! returns exactly what `B` separate `decide_one` calls would — the
 //! micro-batcher trades latency for throughput without ever trading
 //! away determinism (locked by tests here and in `batcher`).
@@ -69,8 +69,9 @@ impl DecisionEngine {
         greedy_from_scores(&scores, &req.valid)
     }
 
-    /// Decide a coalesced micro-batch with a single packed-GEMM forward
-    /// pass. Bit-identical, element for element, to calling
+    /// Decide a coalesced micro-batch with a single forward pass (row by
+    /// row through the gemv kernel). Bit-identical, element for element,
+    /// to calling
     /// [`Self::decide_one`] on each request.
     pub fn decide_batch(&self, reqs: &[&Request]) -> Vec<Option<usize>> {
         if reqs.is_empty() {
@@ -182,17 +183,56 @@ mod tests {
         }
     }
 
+    /// A request shaped like `StateEncoder::encode` output, which the
+    /// inference kernels see as largely zeros: `filled` occupied window
+    /// slots (empty ones all zero), then one `(available?,
+    /// time-until-free)` pair per resource unit, where a free unit reads
+    /// `(1, 0)` and a busy one `(0, t)` (some zeros negative).
+    fn encoder_shaped_request(
+        cfg: &DfpConfig,
+        rng: &mut StdRng,
+        id: u64,
+        filled: usize,
+    ) -> Request {
+        // `test_engine`'s two resources: a window slot is (node share,
+        // BB share, estimate, queued), and 16 nodes + 8 BB units follow.
+        const SLOT: usize = 4;
+        let window = SLOT * cfg.num_actions;
+        assert_eq!(cfg.state_dim, window + 2 * (16 + 8), "encoder layout");
+        let mut req = random_request(cfg, rng, id);
+        req.state[filled * SLOT..window].fill(0.0);
+        for pair in req.state[window..].chunks_mut(2) {
+            if let [avail, ttf] = pair {
+                if rng.gen_bool(0.5) {
+                    (*avail, *ttf) = (1.0, if rng.gen_bool(0.5) { 0.0 } else { -0.0 });
+                } else {
+                    (*avail, *ttf) = (0.0, rng.gen_range(0.0f32..1.0));
+                }
+            }
+        }
+        req.valid = (0..cfg.num_actions).map(|a| a < filled.max(1)).collect();
+        req
+    }
+
     #[test]
     fn batch_decisions_bit_identical_to_singles() {
         let engine = test_engine();
+        let cfg = engine.config();
         let mut rng = StdRng::seed_from_u64(7);
-        let reqs: Vec<Request> =
-            (0..8).map(|i| random_request(engine.config(), &mut rng, i)).collect();
-        for b in [1usize, 4, 8] {
-            let chunk: Vec<&Request> = reqs[..b].iter().collect();
-            let batched = engine.decide_batch(&chunk);
-            let serial: Vec<Option<usize>> = chunk.iter().map(|r| engine.decide_one(r)).collect();
-            assert_eq!(batched, serial, "batch size {b}");
+        let dense: Vec<Request> = (0..8).map(|i| random_request(cfg, &mut rng, i)).collect();
+        let sparse: Vec<Request> = (0..8)
+            .map(|i| encoder_shaped_request(cfg, &mut rng, i, i as usize % (cfg.num_actions + 1)))
+            .collect();
+        let zeros = sparse.iter().flat_map(|r| &r.state).filter(|&&v| v == 0.0).count();
+        assert!(zeros * 3 > sparse.len() * cfg.state_dim, "over a third of the states are zeros");
+        for reqs in [&dense, &sparse] {
+            for b in 1..=8 {
+                let chunk: Vec<&Request> = reqs[..b].iter().collect();
+                let batched = engine.decide_batch(&chunk);
+                let serial: Vec<Option<usize>> =
+                    chunk.iter().map(|r| engine.decide_one(r)).collect();
+                assert_eq!(batched, serial, "batch size {b}");
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //!   (`id;state;meas;goal;valid` → `id;action`), transport-agnostic;
 //! * [`engine`] — the [`engine::DecisionEngine`]: a frozen DFP network
 //!   answering single requests (fused-gemv hot path) or whole
-//!   micro-batches (one packed GEMM), **bit-identically** — coalescing
+//!   micro-batches (row by row through the same gemv kernel),
+//!   **bit-identically** — coalescing
 //!   can never change a decision;
 //! * [`batcher`] — a bounded micro-batching queue: requests accumulate
 //!   until depth `B` or a deadline `τ`, then a worker pool flushes them
