@@ -3,12 +3,13 @@
 //! Two families of cells, written to `results/BENCH_train.json` (schema
 //! `mrsch-bench/v2`) and gated against the committed baseline:
 //!
-//! * **barrier vs pipelined curriculum training** — the same curriculum
-//!   trained three ways with two rollout workers: the round-barrier
-//!   trainer, the lockstep pipeline (staleness 0 — **asserted
-//!   bit-identical** to the barrier checkpoint in-run), and the
-//!   bounded-staleness pipeline (`max_staleness = 2`), whose
-//!   episodes/sec carries the **in-run** `speedup_vs_barrier` ratio.
+//! * **round barrier vs bounded staleness** — the same curriculum
+//!   trained through the one round loop three ways: staleness 0 with one
+//!   rollout worker, staleness 0 with two (the round barrier, **asserted
+//!   bit-identical** to the one-worker checkpoint in-run), and
+//!   `max_staleness = 2` with two workers, whose episodes/sec carries
+//!   the **in-run** `speedup_vs_barrier` ratio over the two-worker
+//!   barrier.
 //!   Rollout can only overlap learning with real cores, so the 1.2×
 //!   acceptance floor is enforced by `bench_gate
 //!   --require-pipeline-scaling`, which CI enables on multi-core
@@ -70,7 +71,7 @@ fn main() {
     let quick = std::env::var_os("MRSCH_BENCH_QUICK").is_some();
     let (jobs, per_phase) = if quick { (30, 3) } else { (80, 8) };
 
-    // --- barrier vs pipelined curriculum training ----------------------
+    // --- round barrier vs bounded staleness -----------------------------
     let curriculum = Curriculum::disruption_hardening(
         bench_scenario(jobs, SEED ^ 5),
         DisruptionConfig { cancel_fraction: 0.3, ..Default::default() },
@@ -90,21 +91,21 @@ fn main() {
     };
 
     let base = TrainerConfig::default().workers(2).round_size(2).batches_per_episode(4);
+    let (serial_s, serial_ckpt) = train(base.clone().workers(1));
     let (barrier_s, barrier_ckpt) = train(base.clone());
-    let (lockstep_s, lockstep_ckpt) = train(base.clone().pipeline(PipelineConfig::lockstep()));
     assert_eq!(
+        serial_ckpt.as_ref(),
         barrier_ckpt.as_ref(),
-        lockstep_ckpt.as_ref(),
-        "lockstep pipeline must be bit-identical to the barrier trainer"
+        "staleness 0 must be bit-identical at one and two workers"
     );
-    let (pipelined_s, _) = train(base.clone().pipeline(PipelineConfig::bounded_staleness(2)));
+    let (pipelined_s, _) = train(base.clone().max_staleness(2));
 
     println!(
-        "train/curriculum ({:.0} episodes): barrier {:.2}s, lockstep {:.2}s, \
-         pipelined(s=2) {:.2}s ({:.2}x vs barrier)",
+        "train/curriculum ({:.0} episodes): barrier w1 {:.2}s, barrier w2 {:.2}s, \
+         pipelined(s=2) {:.2}s ({:.2}x vs barrier w2)",
         total_episodes,
+        serial_s,
         barrier_s,
-        lockstep_s,
         pipelined_s,
         barrier_s / pipelined_s
     );
@@ -178,9 +179,8 @@ fn main() {
     };
     let results = vec![
         train_cell("train/curriculum/barrier_w2", barrier_s, None, "barrier"),
-        train_cell("train/curriculum/lockstep_w2", lockstep_s, None, "pipeline_lockstep"),
-        // The gated throughput cell: bounded-staleness pipeline speedup
-        // over the barrier trainer, same curriculum, same process.
+        // The gated throughput cell: bounded-staleness speedup over the
+        // staleness-0 round barrier, same curriculum, same process.
         train_cell(
             PIPELINE_BENCH,
             pipelined_s,

@@ -1,141 +1,123 @@
-//! [`MrschPolicy`]: the [`mrsim::Policy`] implementation that puts the
-//! DFP agent in the scheduler's seat (Fig. 2 of the paper).
+//! The MRSch policies that put the DFP agent in the scheduler's seat
+//! (Fig. 2 of the paper), and the one place their decision inputs are
+//! built.
 //!
-//! In **training mode** the policy explores ε-greedily, records every
-//! decision, feeds post-action measurements back to the agent, and closes
-//! the DFP episode when the simulation ends. In **evaluation mode** it
-//! acts greedily and additionally logs the goal vector at every decision
-//! — the `rBB` time series plotted in Figs. 8 and 9.
-//!
-//! Training mode is the *inline* path: the agent's own persistent RNG
-//! drives exploration, which is what the paper's setup describes and
-//! what custom training loops over a borrowed agent need. The engine
-//! path (`Mrsch::train_episode` / `mrsch::engine`) instead rolls out
-//! frozen snapshots with per-episode seeded RNGs so episodes can run on
-//! worker threads; both paths build experiences through the same
-//! `mrsch_dfp::EpisodeRecorder` and act through the same shared
-//! decision rule (`mrsch_dfp::rollout::act_epsilon_greedy`), so they
-//! cannot drift — they differ only in where exploration randomness
-//! comes from.
+//! [`MrschPolicy`] acts greedily through a borrowed agent and, when asked
+//! ([`MrschPolicy::with_goal_log`]), logs the goal vector at every
+//! decision — the `rBB` time series plotted in Figs. 8 and 9.
+//! [`TrainedMrschPolicy`] is the same greedy policy owning its agent, the
+//! boxed form the evaluation registry uses. Training never runs through
+//! either: the engine (`mrsch::engine`) rolls out frozen snapshots with
+//! per-episode seeded RNGs and records experiences with
+//! `mrsch_dfp::EpisodeRecorder`. Every MRSch decision path — both
+//! policies here, the engine's rollout policy and
+//! [`crate::explain::Explainer`] — builds its network inputs through
+//! [`DecisionInputs`], so they cannot drift apart.
 
 use crate::encoder::StateEncoder;
 use crate::goal::GoalMode;
 use mrsch_dfp::DfpAgent;
-use mrsim::metrics::SimReport;
-use mrsim::policy::{Policy, SchedulerView, StepFeedback};
+use mrsim::policy::{Policy, SchedulerView};
 use mrsim::SimTime;
 
-/// Bookkeeping for a decision awaiting its feedback (training mode).
-type PendingDecision = (Vec<f32>, Vec<f32>, Vec<f32>, usize);
-
-/// Operating mode of the policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Explore, record experiences, close episodes.
-    Train,
-    /// Act greedily; no learning side effects.
-    Evaluate,
+/// The four network inputs of one scheduling decision, in the order the
+/// DFP agent takes them.
+pub(crate) struct DecisionInputs {
+    /// The encoded scheduler state.
+    pub(crate) state: Vec<f32>,
+    /// Per-resource utilizations (the DFP measurement).
+    pub(crate) meas: Vec<f32>,
+    /// The goal vector in force.
+    pub(crate) goal: Vec<f32>,
+    /// Which window slots hold a job.
+    pub(crate) valid: Vec<bool>,
 }
 
-/// The MRSch scheduling policy.
+impl DecisionInputs {
+    /// Build the inputs for `view`.
+    pub(crate) fn new(
+        encoder: &StateEncoder,
+        goal_mode: &GoalMode,
+        view: &SchedulerView<'_>,
+    ) -> Self {
+        Self {
+            state: encoder.encode(view),
+            meas: view.measurement().iter().map(|&x| x as f32).collect(),
+            goal: goal_mode.goal_for(view),
+            valid: encoder.valid_actions(view),
+        }
+    }
+
+    /// The inputs of a decision at `view`; `None` when the window is
+    /// empty and there is nothing to decide.
+    pub(crate) fn at(
+        encoder: &StateEncoder,
+        goal_mode: &GoalMode,
+        view: &SchedulerView<'_>,
+    ) -> Option<Self> {
+        (!view.window.is_empty()).then(|| Self::new(encoder, goal_mode, view))
+    }
+
+    /// The agent's greedy choice for these inputs.
+    fn greedy(&self, agent: &mut DfpAgent) -> Option<usize> {
+        agent.act(&self.state, &self.meas, &self.goal, &self.valid, false)
+    }
+}
+
+/// Panic unless `encoder` produces the inputs `agent` was built for.
+pub(crate) fn check_dimensions(agent: &DfpAgent, encoder: &StateEncoder) {
+    assert_eq!(
+        agent.config().state_dim,
+        encoder.state_dim(),
+        "agent and encoder disagree on state dimension"
+    );
+    assert_eq!(
+        agent.config().num_actions,
+        encoder.window(),
+        "agent and encoder disagree on window size"
+    );
+}
+
+/// The MRSch scheduling policy over a borrowed agent: greedy, with no
+/// learning side effects.
 pub struct MrschPolicy<'a> {
     agent: &'a mut DfpAgent,
     encoder: StateEncoder,
     goal_mode: GoalMode,
-    mode: Mode,
-    /// Per-decision goal log: `(time, goal)`.
-    goal_log: Vec<(SimTime, Vec<f32>)>,
-    /// Cached encoding of the decision we just made (training bookkeeping).
-    last: Option<PendingDecision>,
-    /// Gradient steps to run after each episode in training mode.
-    batches_per_episode: usize,
-    /// Losses observed from those post-episode gradient steps.
-    losses: Vec<f32>,
+    /// Per-decision goal log `(time, goal)`, kept only when asked for.
+    goal_log: Option<Vec<(SimTime, Vec<f32>)>>,
 }
 
 impl<'a> MrschPolicy<'a> {
     /// Wrap a DFP agent for one simulation run.
-    pub fn new(
-        agent: &'a mut DfpAgent,
-        encoder: StateEncoder,
-        goal_mode: GoalMode,
-        mode: Mode,
-    ) -> Self {
-        assert_eq!(
-            agent.config().state_dim,
-            encoder.state_dim(),
-            "agent and encoder disagree on state dimension"
-        );
-        assert_eq!(
-            agent.config().num_actions,
-            encoder.window(),
-            "agent and encoder disagree on window size"
-        );
-        Self {
-            agent,
-            encoder,
-            goal_mode,
-            mode,
-            goal_log: Vec::new(),
-            last: None,
-            batches_per_episode: 32,
-            losses: Vec::new(),
-        }
+    pub fn new(agent: &'a mut DfpAgent, encoder: StateEncoder, goal_mode: GoalMode) -> Self {
+        check_dimensions(agent, &encoder);
+        Self { agent, encoder, goal_mode, goal_log: None }
     }
 
-    /// Override the number of gradient steps run at each episode end.
-    pub fn with_batches_per_episode(mut self, n: usize) -> Self {
-        self.batches_per_episode = n;
+    /// Also log the goal vector at every decision. The log grows with
+    /// the run, so only callers that read it should ask for it.
+    pub fn with_goal_log(mut self) -> Self {
+        self.goal_log = Some(Vec::new());
         self
     }
 
     /// The goal vectors logged at each decision (Figs. 8–9's `rBB` is
-    /// element 1 of each entry in a two-resource system).
+    /// element 1 of each entry in a two-resource system). Empty unless
+    /// the policy was built [`MrschPolicy::with_goal_log`].
     pub fn goal_log(&self) -> &[(SimTime, Vec<f32>)] {
-        &self.goal_log
-    }
-
-    /// Losses from the post-episode training batches.
-    pub fn losses(&self) -> &[f32] {
-        &self.losses
+        self.goal_log.as_deref().unwrap_or_default()
     }
 }
 
 impl Policy for MrschPolicy<'_> {
     fn select(&mut self, view: &SchedulerView<'_>) -> Option<usize> {
-        if view.window.is_empty() {
-            return None;
+        let d = DecisionInputs::at(&self.encoder, &self.goal_mode, view)?;
+        let action = d.greedy(self.agent);
+        if let Some(log) = &mut self.goal_log {
+            log.push((view.now, d.goal));
         }
-        let state = self.encoder.encode(view);
-        let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
-        let goal = self.goal_mode.goal_for(view);
-        let valid = self.encoder.valid_actions(view);
-        self.goal_log.push((view.now, goal.clone()));
-        let explore = self.mode == Mode::Train;
-        let action = self.agent.act(&state, &meas, &goal, &valid, explore)?;
-        if self.mode == Mode::Train {
-            self.agent.record_step(&state, &meas, &goal, action);
-            self.last = Some((state, meas, goal, action));
-        }
-        Some(action)
-    }
-
-    fn feedback(&mut self, fb: &StepFeedback) {
-        if self.mode == Mode::Train && self.last.take().is_some() {
-            let meas_after: Vec<f32> = fb.measurement.iter().map(|&x| x as f32).collect();
-            self.agent.record_outcome(&meas_after);
-        }
-    }
-
-    fn episode_end(&mut self, _report: &SimReport) {
-        if self.mode == Mode::Train {
-            self.agent.finish_episode();
-            for _ in 0..self.batches_per_episode {
-                if let Some(loss) = self.agent.train_batch() {
-                    self.losses.push(loss);
-                }
-            }
-        }
+        action
     }
 
     fn name(&self) -> &'static str {
@@ -168,14 +150,7 @@ impl TrainedMrschPolicy {
 
 impl Policy for TrainedMrschPolicy {
     fn select(&mut self, view: &SchedulerView<'_>) -> Option<usize> {
-        if view.window.is_empty() {
-            return None;
-        }
-        let state = self.encoder.encode(view);
-        let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
-        let goal = self.goal_mode.goal_for(view);
-        let valid = self.encoder.valid_actions(view);
-        self.agent.act(&state, &meas, &goal, &valid, false)
+        DecisionInputs::at(&self.encoder, &self.goal_mode, view)?.greedy(&mut self.agent)
     }
 
     fn name(&self) -> &'static str {
@@ -222,16 +197,31 @@ mod tests {
 
     #[test]
     fn training_run_completes_and_records() {
+        // Training runs through the engine's rollout path: an exploring
+        // episode under a frozen snapshot, recorded and then absorbed.
         let (system, encoder, mut agent) = small_setup();
-        let mut policy =
-            MrschPolicy::new(&mut agent, encoder, GoalMode::Dynamic, Mode::Train)
-                .with_batches_per_episode(4);
-        let mut sim = Simulator::new(system, jobs(30), SimParams::new(4, true))
-            .unwrap();
-        let report = sim.run(&mut policy);
+        let task = crate::engine::RolloutTask {
+            spec: mrsch_workload::scenario::EpisodeSpec {
+                jobs: jobs(30),
+                events: Vec::new(),
+                params: SimParams::new(4, true),
+                deps: Vec::new(),
+            },
+            epsilon: agent.epsilon(),
+            seed: 5,
+            goal: None,
+        };
+        let (exps, report) = crate::engine::rollout_episode(
+            &agent.snapshot(),
+            &encoder,
+            &GoalMode::Dynamic,
+            &system,
+            &mut None,
+            &task,
+        );
         assert_eq!(report.jobs_completed, 30);
-        assert!(!policy.goal_log().is_empty());
-        drop(policy);
+        assert_eq!(exps.len() as u64, report.decisions, "one experience per decision");
+        agent.absorb_episode(exps);
         assert_eq!(agent.episodes(), 1);
         assert!(agent.replay_len() > 0, "experiences recorded");
     }
@@ -239,12 +229,12 @@ mod tests {
     #[test]
     fn evaluation_mode_has_no_learning_side_effects() {
         let (system, encoder, mut agent) = small_setup();
-        let mut policy =
-            MrschPolicy::new(&mut agent, encoder, GoalMode::Dynamic, Mode::Evaluate);
+        let mut policy = MrschPolicy::new(&mut agent, encoder, GoalMode::Dynamic);
         let mut sim = Simulator::new(system, jobs(20), SimParams::new(4, true))
             .unwrap();
         let report = sim.run(&mut policy);
         assert_eq!(report.jobs_completed, 20);
+        assert!(policy.goal_log().is_empty(), "no goal log unless asked for");
         drop(policy);
         assert_eq!(agent.episodes(), 0);
         assert_eq!(agent.replay_len(), 0);
@@ -255,10 +245,11 @@ mod tests {
     fn goal_log_entries_normalize() {
         let (system, encoder, mut agent) = small_setup();
         let mut policy =
-            MrschPolicy::new(&mut agent, encoder, GoalMode::Dynamic, Mode::Evaluate);
+            MrschPolicy::new(&mut agent, encoder, GoalMode::Dynamic).with_goal_log();
         let mut sim = Simulator::new(system, jobs(15), SimParams::new(4, true))
             .unwrap();
-        sim.run(&mut policy);
+        let report = sim.run(&mut policy);
+        assert_eq!(policy.goal_log().len() as u64, report.decisions, "one entry per decision");
         for (_, g) in policy.goal_log() {
             let sum: f32 = g.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "goal weights sum to 1: {g:?}");
@@ -266,10 +257,23 @@ mod tests {
     }
 
     #[test]
+    fn logging_goals_does_not_change_decisions() {
+        let (system, encoder, mut agent) = small_setup();
+        let mut run = |log: bool| {
+            let policy = MrschPolicy::new(&mut agent, encoder.clone(), GoalMode::Dynamic);
+            let mut policy = if log { policy.with_goal_log() } else { policy };
+            Simulator::new(system.clone(), jobs(25), SimParams::new(4, true))
+                .unwrap()
+                .run(&mut policy)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
     #[should_panic(expected = "state dimension")]
     fn mismatched_encoder_rejected() {
         let (system, _, mut agent) = small_setup();
         let bad = StateEncoder::with_hour_scale(system, 3); // wrong window/dim
-        let _ = MrschPolicy::new(&mut agent, bad, GoalMode::Dynamic, Mode::Train);
+        let _ = MrschPolicy::new(&mut agent, bad, GoalMode::Dynamic);
     }
 }

@@ -3,36 +3,41 @@
 //!
 //! # Architecture
 //!
-//! Training proceeds in **rounds**. At the start of a round the learner
-//! ([`mrsch_dfp::DfpAgent`]) is frozen into a
-//! [`mrsch_dfp::PolicySnapshot`]; the round's episodes (at most
-//! [`TrainerConfig::round_size`]) are materialized from the active
-//! [`CurriculumPhase`]'s [`Scenario`] and rolled out — each episode on a
-//! private `Simulator` (reused across episodes via `Simulator::load`)
-//! with a private RNG seeded from the master seed and the global episode
-//! index. Workers only decide *where* an episode runs, never *what* it
-//! computes: an episode's experience stream is a pure function of
-//! `(snapshot, scenario, episode index, master seed)`. The per-worker
-//! buffers are then merged into the shared replay **in episode order**,
-//! the learner takes `round_size × batches_per_episode` gradient steps,
-//! and the next round begins.
+//! Training proceeds in **rounds** of at most
+//! [`TrainerConfig::round_size`] episodes, materialized from the active
+//! curriculum phase's scenario. Rollout workers claim global episode
+//! indices and roll each one out against a frozen
+//! [`mrsch_dfp::PolicySnapshot`] on a private `Simulator` (reused across
+//! episodes via `Simulator::load`), with a private RNG seeded from the
+//! master seed and the episode index. The learner
+//! ([`mrsch_dfp::DfpAgent`]) runs beside them on the caller's thread: it
+//! absorbs each round's results **in episode order**, takes
+//! `round_size × batches_per_episode` gradient steps, and publishes the
+//! next snapshot. A single worker at `max_staleness = 0` could never
+//! overlap the learner, so then no thread is spawned and the learner
+//! rolls the episodes out itself.
 //!
-//! # Determinism
+//! # Staleness and determinism
 //!
-//! Because rollouts are pure and the merge order is fixed, training with
-//! `workers = 1` and `workers = N` produces **bit-identical** network
-//! parameters and identical per-episode `SimReport`s for the same master
-//! seed — worker count is a wall-clock knob, not a semantics knob (the
-//! property `tests/training_determinism.rs` pins). This extends the
-//! repo's serial-vs-parallel GEMM guarantee up through the training loop
-//! itself.
+//! A round-`r` episode waits until a snapshot version
+//! `>= r - max_staleness` is published and then rolls out against
+//! version `min(published, r)`. At the default `max_staleness = 0` that
+//! is exactly version `r`, a round barrier: an episode's experience
+//! stream is a pure function of `(snapshot, scenario, episode index,
+//! master seed)`, so `workers = 1` and `workers = N` give
+//! **bit-identical** network parameters and per-episode `SimReport`s
+//! (`tests/training_determinism.rs` pins it). Worker count is a
+//! wall-clock knob, not a semantics knob. `max_staleness > 0` lets
+//! workers run ahead of the learner; which snapshot a rollout sees then
+//! depends on timing, and so do the trained weights.
 
+use crate::agent::DecisionInputs;
 use crate::encoder::StateEncoder;
 use crate::goal::GoalMode;
 use crate::training::Mrsch;
 use mrsch_dfp::rollout::EpisodeRecorder;
 use mrsch_dfp::{Experience, PolicySnapshot};
-use mrsch_workload::scenario::{mix_seed, Curriculum, EpisodeSpec};
+use mrsch_workload::scenario::{mix_seed, Curriculum, CurriculumPhase, EpisodeSpec};
 use mrsim::policy::{Policy, SchedulerView, StepFeedback};
 use mrsim::resources::SystemConfig;
 use mrsim::simulator::Simulator;
@@ -42,54 +47,15 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Pipelined bounded-staleness rollout mode.
-///
-/// In barrier mode every rollout worker stops at the end of a round
-/// while the learner absorbs and trains. In pipeline mode workers keep
-/// generating episodes against the freshest *published* snapshot while
-/// the learner builds the next one, subject to a staleness bound: an
-/// episode belonging to round `r` may roll out against any published
-/// snapshot version `>= r - max_staleness`.
-///
-/// `max_staleness = 0` reduces **exactly** to barrier semantics (every
-/// round-`r` episode waits for snapshot `r`), and the engine's tests
-/// pin that the weights and reports are bit-identical. Any
-/// `max_staleness > 0` makes the snapshot choice timing-dependent, so
-/// it requires the explicit `deterministic: false` opt-in —
-/// [`TrainingEngine::train`] refuses the combination otherwise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// How many snapshot versions a rollout may lag behind its round.
-    pub max_staleness: usize,
-    /// Must be `false` when `max_staleness > 0`: the caller explicitly
-    /// acknowledges that stale rollouts are timing-dependent.
-    pub deterministic: bool,
-}
-
-impl PipelineConfig {
-    /// Pipelined machinery, barrier semantics: staleness 0, bit-identical
-    /// to the non-pipelined path.
-    pub fn lockstep() -> Self {
-        Self { max_staleness: 0, deterministic: true }
-    }
-
-    /// Bounded-staleness mode: rollouts may lag up to `k` snapshot
-    /// versions. For `k > 0` this carries the `deterministic: false`
-    /// opt-in the engine requires.
-    pub fn bounded_staleness(k: usize) -> Self {
-        Self { max_staleness: k, deterministic: k == 0 }
-    }
-}
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Training-loop knobs, split out of `MrschBuilder` so the same agent
 /// definition can be trained serially, in parallel, or under different
 /// synchronization granularities.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrainerConfig {
-    /// Rollout worker threads. `1` is the serial path — more workers
-    /// never change the result, only the wall-clock.
+    /// Rollout worker threads. At `max_staleness = 0` more workers never
+    /// change the result, only the wall-clock.
     pub workers: usize,
     /// Episodes rolled out under one frozen policy snapshot. This *does*
     /// affect results (it is the learner's synchronization granularity),
@@ -97,16 +63,15 @@ pub struct TrainerConfig {
     pub round_size: usize,
     /// Gradient steps per absorbed episode.
     pub batches_per_episode: usize,
-    /// Pipelined rollout/learner overlap. `None` is the classic barrier
-    /// loop; `Some(PipelineConfig::lockstep())` runs the pipelined
-    /// machinery with bit-identical barrier semantics; bounded staleness
-    /// (`deterministic: false`) trades determinism for throughput.
-    pub pipeline: Option<PipelineConfig>,
+    /// How many snapshot versions a rollout may lag behind its round.
+    /// `0` is the deterministic round barrier; `k > 0` overlaps rollout
+    /// with learning, and the trained weights then depend on timing.
+    pub max_staleness: usize,
 }
 
 impl Default for TrainerConfig {
     fn default() -> Self {
-        Self { workers: 1, round_size: 4, batches_per_episode: 32, pipeline: None }
+        Self { workers: 1, round_size: 4, batches_per_episode: 32, max_staleness: 0 }
     }
 }
 
@@ -129,9 +94,9 @@ impl TrainerConfig {
         self
     }
 
-    /// Enable the pipelined rollout mode.
-    pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = Some(cfg);
+    /// Set the staleness bound (`0` keeps the round barrier).
+    pub fn max_staleness(mut self, k: usize) -> Self {
+        self.max_staleness = k;
         self
     }
 }
@@ -180,287 +145,196 @@ impl EngineOutcome {
     }
 }
 
-/// The curriculum training engine. Owns only its [`TrainerConfig`]; the
-/// agent and curriculum are supplied per run.
-#[derive(Clone, Debug, Default)]
-pub struct TrainingEngine {
-    cfg: TrainerConfig,
+/// Train `mrsch` over `curriculum` with its own [`TrainerConfig`], phase
+/// by phase (the body of `Mrsch::train_with_curriculum`).
+pub(crate) fn train(mrsch: &mut Mrsch, curriculum: &Curriculum) -> EngineOutcome {
+    let cfg = mrsch.trainer().clone();
+    let system = mrsch.system().clone();
+    let encoder = mrsch.encoder_ref().clone();
+    let master = mix_seed(mrsch.master_seed(), 0x5ce7a710);
+    let mut outcome = EngineOutcome::default();
+    for phase in curriculum.phases() {
+        // The phase-level mode covers fixed schedules exactly; an
+        // annealed schedule additionally stamps a per-episode goal onto
+        // each rollout task below.
+        let goal_mode = match &phase.goal {
+            Some(s) => GoalMode::Fixed(s.goal_at(0, phase.episodes)),
+            None => mrsch.goal_mode_ref().clone(),
+        };
+        outcome
+            .phases
+            .push(train_phase(mrsch, &cfg, phase, &goal_mode, &system, &encoder, master));
+    }
+    outcome
 }
 
-impl TrainingEngine {
-    /// Engine with the given knobs.
-    pub fn new(cfg: TrainerConfig) -> Self {
-        Self { cfg }
+/// Train one phase: workers claim global episode indices and roll them
+/// out against the freshest *published* snapshot within the staleness
+/// window, pushing results into a bounded in-order channel; the learner
+/// absorbs each round in episode order, trains, and publishes the next
+/// snapshot without ever stopping the workers.
+///
+/// Round-`r` episodes wait until a snapshot version `>= r -
+/// max_staleness` is published and then use `min(published, r)` — at
+/// staleness 0 that is *exactly* version `r`, and since the learner
+/// cannot finish round `r` before every round-`r` episode is absorbed,
+/// `published` can never exceed `r` while one is pending: the round
+/// barrier, whatever the worker count.
+fn train_phase(
+    mrsch: &mut Mrsch,
+    cfg: &TrainerConfig,
+    phase: &CurriculumPhase,
+    goal_mode: &GoalMode,
+    system: &SystemConfig,
+    encoder: &StateEncoder,
+    master: u64,
+) -> PhaseOutcome {
+    let total = phase.episodes;
+    let mut phase_out = PhaseOutcome {
+        name: phase.scenario.name.clone(),
+        episodes: total,
+        round_losses: Vec::new(),
+        reports: Vec::new(),
+    };
+    if total == 0 {
+        return phase_out;
     }
+    let round_size = cfg.round_size.max(1);
+    let workers = cfg.workers.max(1);
+    let staleness = cfg.max_staleness;
+    let num_rounds = total.div_ceil(round_size);
+    // Global episode bookkeeping is captured once up front: the
+    // learner's episode counter only ever advances by the absorbed
+    // episode count, so `eps0 + k` is episode `k`'s global index.
+    let eps0 = mrsch.agent().episodes();
+    let dfp_cfg = mrsch.agent().config().clone();
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
-    }
+    // slots[v] holds snapshot version v: slot 0 is the pre-phase
+    // snapshot, slot v the weights after training rounds 0..v. Write
+    // once (learner), read many (workers) — no lock on the read path.
+    let slots: Vec<OnceLock<PolicySnapshot>> = (0..num_rounds).map(|_| OnceLock::new()).collect();
+    slots[0]
+        .set(mrsch.agent().snapshot())
+        .unwrap_or_else(|_| unreachable!("slot 0 set exactly once"));
 
-    /// Train `mrsch` over `curriculum`, phase by phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config asks for `max_staleness > 0` without the
-    /// explicit `deterministic: false` opt-in — stale rollouts are
-    /// timing-dependent and must never be enabled by accident.
-    pub fn train(&self, mrsch: &mut Mrsch, curriculum: &Curriculum) -> EngineOutcome {
-        if let Some(p) = self.cfg.pipeline {
-            assert!(
-                p.max_staleness == 0 || !p.deterministic,
-                "pipeline with max_staleness > 0 is timing-dependent; opt in \
-                 explicitly with deterministic: false (PipelineConfig::bounded_staleness)"
-            );
-        }
-        let system = mrsch.system().clone();
-        let encoder = mrsch.encoder_ref().clone();
-        let master = mix_seed(mrsch.master_seed(), 0x5ce7a710);
-        let mut outcome = EngineOutcome::default();
-        for phase in curriculum.phases() {
-            // The phase-level mode covers fixed schedules exactly; an
-            // annealed schedule additionally stamps a per-episode goal
-            // onto each rollout task below.
-            let goal_mode = match &phase.goal {
-                Some(s) => GoalMode::Fixed(s.goal_at(0, phase.episodes)),
-                None => mrsch.goal_mode_ref().clone(),
-            };
-            let phase_out = match self.cfg.pipeline {
-                Some(pipe) => self.train_phase_pipelined(
-                    mrsch, phase, &goal_mode, &system, &encoder, master, pipe,
-                ),
-                None => {
-                    self.train_phase_barrier(mrsch, phase, &goal_mode, &system, &encoder, master)
-                }
-            };
-            outcome.phases.push(phase_out);
-        }
-        outcome
-    }
+    // Claims are gated on the staleness window, so at most
+    // (staleness + 2) rounds of results are ever in flight — the
+    // channel bound below can only stall a worker that is already
+    // outside the window.
+    let cap = (staleness + 2) * round_size;
+    let shared = Mutex::new(PipeShared { published: 0, stop: false, buf: BTreeMap::new() });
+    let cv = Condvar::new();
+    let next_episode = AtomicUsize::new(0);
 
-    /// The classic round-barrier loop: roll out a round, absorb it, train,
-    /// repeat. Deterministic for any worker count.
-    fn train_phase_barrier(
-        &self,
-        mrsch: &mut Mrsch,
-        phase: &mrsch_workload::scenario::CurriculumPhase,
-        goal_mode: &GoalMode,
-        system: &SystemConfig,
-        encoder: &StateEncoder,
-        master: u64,
-    ) -> PhaseOutcome {
-        let mut phase_out = PhaseOutcome {
-            name: phase.scenario.name.clone(),
-            episodes: phase.episodes,
-            round_losses: Vec::new(),
-            reports: Vec::new(),
+    // Roll out episode `k` against snapshot `version`, on whichever
+    // thread calls it.
+    let roll_out = |k: usize, version: usize, sim: &mut Option<Simulator>| {
+        let snap = slots[version].get().expect("published snapshot is set");
+        let task = RolloutTask {
+            spec: phase.scenario.materialize(system, k as u64),
+            epsilon: dfp_cfg.epsilon_at(eps0 + k as u64),
+            seed: mix_seed(master, eps0 + k as u64),
+            goal: episode_goal(phase, k),
         };
+        rollout_episode(snap, encoder, goal_mode, system, sim, &task)
+    };
+    // A lone worker at staleness 0 could only ever run while the learner
+    // waits for it, so the learner rolls its episodes out itself instead:
+    // the same episodes against the same snapshots, with no thread
+    // hand-off on the critical path.
+    let threads = if workers == 1 && staleness == 0 { 0 } else { workers };
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let shared = &shared;
+            let cv = &cv;
+            let next_episode = &next_episode;
+            let roll_out = &roll_out;
+            scope.spawn(move || {
+                let mut sim: Option<Simulator> = None;
+                loop {
+                    let k = next_episode.fetch_add(1, Ordering::SeqCst);
+                    if k >= total {
+                        break;
+                    }
+                    let round = k / round_size;
+                    let need = round.saturating_sub(staleness);
+                    let version = {
+                        let mut st = shared.lock().expect("pipeline lock");
+                        while st.published < need && !st.stop {
+                            st = cv.wait(st).expect("pipeline lock");
+                        }
+                        if st.stop {
+                            break;
+                        }
+                        st.published.min(round)
+                    };
+                    let result = roll_out(k, version, &mut sim);
+                    let mut st = shared.lock().expect("pipeline lock");
+                    while st.buf.len() >= cap && !st.stop {
+                        st = cv.wait(st).expect("pipeline lock");
+                    }
+                    if st.stop {
+                        // The learner is done with this phase; the
+                        // in-flight result is never absorbed.
+                        break;
+                    }
+                    st.buf.insert(k, result);
+                    cv.notify_all();
+                }
+            });
+        }
+
+        // The learner runs on the scope's own thread: absorb each
+        // round in episode order, train, publish the next snapshot.
+        let mut inline_sim: Option<Simulator> = None;
         let mut done = 0;
-        while done < phase.episodes {
-            let count = self.cfg.round_size.max(1).min(phase.episodes - done);
-            let base_eps = mrsch.agent().episodes();
-            let dfp_cfg = mrsch.agent().config().clone();
-            // One frozen snapshot per round, shared by every worker
-            // via `Arc` — workers read the same weights through the
-            // cache-free inference forward pass, so no per-worker
-            // network clone exists.
-            let snapshot = Arc::new(mrsch.agent().snapshot());
-            // Materialize the round: specs from the scenario (keyed
-            // by within-phase index, so a phase's episode stream is
-            // independent of what preceded it), ε and RNG seeds from
-            // the global episode counter.
-            let episodes: Vec<RolloutTask> = (0..count)
-                .map(|k| RolloutTask {
-                    spec: phase.scenario.materialize(system, (done + k) as u64),
-                    epsilon: dfp_cfg.epsilon_at(base_eps + k as u64),
-                    seed: mix_seed(master, base_eps + k as u64),
-                    goal: episode_goal(phase, done + k),
-                })
-                .collect();
-            let results =
-                run_rollouts(self.cfg.workers, &snapshot, encoder, goal_mode, system, &episodes);
-            for (exps, report) in results {
+        for round in 0..num_rounds {
+            let count = round_size.min(total - done);
+            for i in 0..count {
+                let idx = done + i;
+                let (exps, report) = if threads == 0 {
+                    roll_out(idx, round, &mut inline_sim)
+                } else {
+                    let mut st = shared.lock().expect("pipeline lock");
+                    loop {
+                        if let Some(r) = st.buf.remove(&idx) {
+                            cv.notify_all();
+                            break r;
+                        }
+                        st = cv.wait(st).expect("pipeline lock");
+                    }
+                };
                 mrsch.agent_mut().absorb_episode(exps);
                 phase_out.reports.push(report);
             }
-            for _ in 0..count * self.cfg.batches_per_episode {
+            for _ in 0..count * cfg.batches_per_episode {
                 mrsch.agent_mut().train_batch();
             }
             phase_out
                 .round_losses
                 .push(mrsch.agent_mut().eval_loss(256).unwrap_or(f32::NAN));
             done += count;
-            if phase.plateau_reached(&phase_out.round_losses) {
+            if done >= total || phase.plateau_reached(&phase_out.round_losses) {
+                let mut st = shared.lock().expect("pipeline lock");
+                st.stop = true;
+                cv.notify_all();
                 break;
             }
+            let version = round + 1;
+            slots[version]
+                .set(mrsch.agent().snapshot())
+                .unwrap_or_else(|_| unreachable!("each snapshot published exactly once"));
+            let mut st = shared.lock().expect("pipeline lock");
+            st.published = version;
+            cv.notify_all();
         }
-        // Plateau advancement may end a phase early; report what ran.
         phase_out.episodes = done;
-        phase_out
-    }
-
-    /// The pipelined loop: workers claim global episode indices and roll
-    /// them out against the freshest *published* snapshot within the
-    /// staleness window, pushing results into a bounded in-order channel;
-    /// the learner absorbs each round in episode order, trains, and
-    /// publishes the next snapshot without ever stopping the workers.
-    ///
-    /// Round-`r` episodes wait until a snapshot version `>= r -
-    /// max_staleness` is published and then use `min(published, r)` — at
-    /// staleness 0 that is *exactly* version `r`, and since the learner
-    /// cannot finish round `r` before every round-`r` episode is absorbed,
-    /// `published` can never exceed `r` while one is pending. The lockstep
-    /// path is therefore bit-identical to the barrier loop, which
-    /// `pipelined_lockstep_is_bit_identical_to_barrier` pins.
-    #[allow(clippy::too_many_arguments)]
-    fn train_phase_pipelined(
-        &self,
-        mrsch: &mut Mrsch,
-        phase: &mrsch_workload::scenario::CurriculumPhase,
-        goal_mode: &GoalMode,
-        system: &SystemConfig,
-        encoder: &StateEncoder,
-        master: u64,
-        pipe: PipelineConfig,
-    ) -> PhaseOutcome {
-        let total = phase.episodes;
-        let mut phase_out = PhaseOutcome {
-            name: phase.scenario.name.clone(),
-            episodes: total,
-            round_losses: Vec::new(),
-            reports: Vec::new(),
-        };
-        if total == 0 {
-            return phase_out;
-        }
-        let round_size = self.cfg.round_size.max(1);
-        let workers = self.cfg.workers.max(1);
-        let staleness = pipe.max_staleness;
-        let num_rounds = total.div_ceil(round_size);
-        // Global episode bookkeeping is captured once up front — the
-        // barrier loop re-reads `agent.episodes()` each round, but that
-        // counter only ever advances by the absorbed episode count, so
-        // `eps0 + k` is the same value it would compute.
-        let eps0 = mrsch.agent().episodes();
-        let dfp_cfg = mrsch.agent().config().clone();
-
-        // slots[v] holds snapshot version v: slot 0 is the pre-phase
-        // snapshot, slot v the weights after training rounds 0..v. Write
-        // once (learner), read many (workers) — no lock on the read path.
-        let slots: Vec<OnceLock<Arc<PolicySnapshot>>> =
-            (0..num_rounds).map(|_| OnceLock::new()).collect();
-        slots[0]
-            .set(Arc::new(mrsch.agent().snapshot()))
-            .unwrap_or_else(|_| unreachable!("slot 0 set exactly once"));
-
-        // Claims are gated on the staleness window, so at most
-        // (staleness + 2) rounds of results are ever in flight — the
-        // channel bound below can only stall a worker that is already
-        // outside the window.
-        let cap = (staleness + 2) * round_size;
-        let shared = Mutex::new(PipeShared { published: 0, stop: false, buf: BTreeMap::new() });
-        let cv = Condvar::new();
-        let next_episode = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let slots = &slots;
-                let shared = &shared;
-                let cv = &cv;
-                let next_episode = &next_episode;
-                let dfp_cfg = &dfp_cfg;
-                scope.spawn(move || {
-                    let mut sim: Option<Simulator> = None;
-                    loop {
-                        let k = next_episode.fetch_add(1, Ordering::SeqCst);
-                        if k >= total {
-                            break;
-                        }
-                        let round = k / round_size;
-                        let need = round.saturating_sub(staleness);
-                        let version = {
-                            let mut st = shared.lock().expect("pipeline lock");
-                            while st.published < need && !st.stop {
-                                st = cv.wait(st).expect("pipeline lock");
-                            }
-                            if st.stop {
-                                break;
-                            }
-                            st.published.min(round)
-                        };
-                        let snap =
-                            Arc::clone(slots[version].get().expect("published snapshot is set"));
-                        let task = RolloutTask {
-                            spec: phase.scenario.materialize(system, k as u64),
-                            epsilon: dfp_cfg.epsilon_at(eps0 + k as u64),
-                            seed: mix_seed(master, eps0 + k as u64),
-                            goal: episode_goal(phase, k),
-                        };
-                        let result =
-                            rollout_episode(&snap, encoder, goal_mode, system, &mut sim, &task);
-                        let mut st = shared.lock().expect("pipeline lock");
-                        while st.buf.len() >= cap && !st.stop {
-                            st = cv.wait(st).expect("pipeline lock");
-                        }
-                        if st.stop {
-                            // The learner is done with this phase; the
-                            // in-flight result is never absorbed.
-                            break;
-                        }
-                        st.buf.insert(k, result);
-                        cv.notify_all();
-                    }
-                });
-            }
-
-            // The learner runs on the scope's own thread: absorb each
-            // round in episode order, train, publish the next snapshot.
-            let mut done = 0;
-            for round in 0..num_rounds {
-                let count = round_size.min(total - done);
-                for i in 0..count {
-                    let idx = done + i;
-                    let (exps, report) = {
-                        let mut st = shared.lock().expect("pipeline lock");
-                        loop {
-                            if let Some(r) = st.buf.remove(&idx) {
-                                cv.notify_all();
-                                break r;
-                            }
-                            st = cv.wait(st).expect("pipeline lock");
-                        }
-                    };
-                    mrsch.agent_mut().absorb_episode(exps);
-                    phase_out.reports.push(report);
-                }
-                for _ in 0..count * self.cfg.batches_per_episode {
-                    mrsch.agent_mut().train_batch();
-                }
-                phase_out
-                    .round_losses
-                    .push(mrsch.agent_mut().eval_loss(256).unwrap_or(f32::NAN));
-                done += count;
-                if done >= total || phase.plateau_reached(&phase_out.round_losses) {
-                    let mut st = shared.lock().expect("pipeline lock");
-                    st.stop = true;
-                    cv.notify_all();
-                    break;
-                }
-                let version = round + 1;
-                slots[version]
-                    .set(Arc::new(mrsch.agent().snapshot()))
-                    .unwrap_or_else(|_| unreachable!("each snapshot published exactly once"));
-                let mut st = shared.lock().expect("pipeline lock");
-                st.published = version;
-                cv.notify_all();
-            }
-            phase_out.episodes = done;
-        });
-        phase_out
-    }
+    });
+    phase_out
 }
 
-/// Shared learner/worker state for the pipelined loop. One mutex (the
+/// Shared learner/worker state for the round loop. One mutex (the
 /// critical sections are microseconds against millisecond episodes) and
 /// one condvar: waiters re-check their own predicate on every change.
 struct PipeShared {
@@ -486,7 +360,7 @@ pub(crate) struct RolloutTask {
 /// The per-episode goal for an annealed schedule; `None` when the
 /// phase-level mode already covers it (no schedule, or a fixed one).
 fn episode_goal(
-    phase: &mrsch_workload::scenario::CurriculumPhase,
+    phase: &CurriculumPhase,
     episode_in_phase: usize,
 ) -> Option<GoalMode> {
     match &phase.goal {
@@ -495,64 +369,6 @@ fn episode_goal(
         }
         _ => None,
     }
-}
-
-/// Roll out a round of episodes across `workers` threads and return the
-/// results **in episode order** regardless of scheduling. All workers
-/// read the *same* frozen snapshot through the `Arc` — the per-worker
-/// state is just a reusable simulator and a per-episode RNG.
-fn run_rollouts(
-    workers: usize,
-    snapshot: &Arc<PolicySnapshot>,
-    encoder: &StateEncoder,
-    goal_mode: &GoalMode,
-    system: &SystemConfig,
-    episodes: &[RolloutTask],
-) -> Vec<(Vec<Experience>, SimReport)> {
-    let n = episodes.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        let mut sim: Option<Simulator> = None;
-        return episodes
-            .iter()
-            .map(|t| rollout_episode(snapshot, encoder, goal_mode, system, &mut sim, t))
-            .collect();
-    }
-    let mut results: Vec<Option<(Vec<Experience>, SimReport)>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let snap = Arc::clone(snapshot);
-                scope.spawn(move || {
-                    let mut sim: Option<Simulator> = None;
-                    let mut out = Vec::new();
-                    let mut k = w;
-                    while k < n {
-                        out.push((
-                            k,
-                            rollout_episode(
-                                &snap,
-                                encoder,
-                                goal_mode,
-                                system,
-                                &mut sim,
-                                &episodes[k],
-                            ),
-                        ));
-                        k += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (k, r) in h.join().expect("rollout worker panicked") {
-                results[k] = Some(r);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every episode rolled out")).collect()
 }
 
 /// Roll out one episode under a shared frozen snapshot, reusing the
@@ -594,8 +410,8 @@ pub(crate) fn rollout_episode(
 
 /// The worker-side policy: acts ε-greedily through a *shared* frozen
 /// snapshot with a private RNG and per-episode ε, and records the
-/// episode for later absorption — the detached sibling of `MrschPolicy`
-/// in training mode.
+/// episode for later absorption — the exploring sibling of
+/// `MrschPolicy`, built on the same [`DecisionInputs`].
 struct RolloutPolicy<'a> {
     snap: &'a PolicySnapshot,
     epsilon: f32,
@@ -608,23 +424,17 @@ struct RolloutPolicy<'a> {
 
 impl Policy for RolloutPolicy<'_> {
     fn select(&mut self, view: &SchedulerView<'_>) -> Option<usize> {
-        if view.window.is_empty() {
-            return None;
-        }
-        let state = self.encoder.encode(view);
-        let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
-        let goal = self.goal_mode.goal_for(view);
-        let valid = self.encoder.valid_actions(view);
+        let d = DecisionInputs::at(self.encoder, self.goal_mode, view)?;
         let action = self.snap.act_with_epsilon(
             self.epsilon,
-            &state,
-            &meas,
-            &goal,
-            &valid,
+            &d.state,
+            &d.meas,
+            &d.goal,
+            &d.valid,
             true,
             &mut self.rng,
         )?;
-        self.recorder.record_step(&state, &meas, &goal, action);
+        self.recorder.record_step(&d.state, &d.meas, &d.goal, action);
         self.awaiting = true;
         Some(action)
     }
@@ -692,11 +502,18 @@ mod tests {
         )
     }
 
+    /// FNV-1a over a checkpoint: a short, stable name for its bytes.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn engine_trains_through_all_phases() {
         let trainer = TrainerConfig::default().round_size(2).batches_per_episode(4);
-        let mut mrsch = tiny_mrsch(3, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &tiny_curriculum(2));
+        let mut mrsch = tiny_mrsch(3, trainer);
+        let outcome = mrsch.train_with_curriculum(&tiny_curriculum(2));
         assert_eq!(outcome.phases.len(), 3);
         assert_eq!(outcome.total_episodes(), 6);
         assert_eq!(mrsch.agent().episodes(), 6);
@@ -718,63 +535,40 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
+        // The pinned digest was recorded from a round-barrier loop that
+        // rolled each round out, absorbed it and trained before the next
+        // snapshot — an implementation that shares no code with the one
+        // round loop. Staleness 0 must reproduce it at every worker count.
+        const ROUND_BARRIER_DIGEST: u64 = 0x6e41_c0df_5d55_d1e3;
         let curriculum = tiny_curriculum(2);
         let run = |workers: usize| {
             let trainer = TrainerConfig::default()
                 .workers(workers)
                 .round_size(2)
                 .batches_per_episode(4);
-            let mut mrsch = tiny_mrsch(9, trainer.clone());
-            let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
+            let mut mrsch = tiny_mrsch(9, trainer);
+            let outcome = mrsch.train_with_curriculum(&curriculum);
             let ckpt = mrsch.agent_mut().network_mut().save_checkpoint();
             (outcome, ckpt)
         };
         let (o1, c1) = run(1);
-        let (o3, c3) = run(3);
-        assert_eq!(c1, c3, "trained weights must be bit-identical across worker counts");
-        for (a, b) in o1.reports().zip(o3.reports()) {
-            assert_eq!(a, b, "per-episode reports must match");
-        }
         assert_eq!(
-            o1.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
-            o3.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
+            digest(&c1),
+            ROUND_BARRIER_DIGEST,
+            "staleness-0 weights must match the round-barrier reference"
         );
-    }
-
-    #[test]
-    fn pipelined_lockstep_is_bit_identical_to_barrier() {
-        // The ISSUE-level contract: pipelined mode at max_staleness = 0
-        // reduces *exactly* to the barrier loop — weights, per-episode
-        // SimReports, and round losses all bit-identical — for 1, 2, and
-        // 4 workers.
-        let curriculum = tiny_curriculum(3);
-        let run = |workers: usize, pipeline: Option<PipelineConfig>| {
-            let mut trainer = TrainerConfig::default()
-                .workers(workers)
-                .round_size(2)
-                .batches_per_episode(4);
-            trainer.pipeline = pipeline;
-            let mut mrsch = tiny_mrsch(11, trainer.clone());
-            let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
-            let ckpt = mrsch.agent_mut().network_mut().save_checkpoint();
-            (outcome, ckpt)
-        };
-        let (barrier_out, barrier_ckpt) = run(1, None);
-        for workers in [1, 2, 4] {
-            let (pipe_out, pipe_ckpt) = run(workers, Some(PipelineConfig::lockstep()));
-            assert_eq!(
-                barrier_ckpt, pipe_ckpt,
-                "lockstep pipeline weights must be bit-identical to barrier ({workers} workers)"
-            );
-            for (a, b) in barrier_out.reports().zip(pipe_out.reports()) {
+        for workers in [2, 4] {
+            let (o, c) = run(workers);
+            assert_eq!(c1, c, "trained weights must be bit-identical ({workers} workers)");
+            assert_eq!(o1.total_episodes(), o.total_episodes());
+            for (a, b) in o1.reports().zip(o.reports()) {
                 assert_eq!(a, b, "per-episode reports must match ({workers} workers)");
             }
             assert_eq!(
-                barrier_out.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
-                pipe_out.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
+                o1.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
+                o.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
                 "round losses must match ({workers} workers)"
             );
-            assert_eq!(barrier_out.total_episodes(), pipe_out.total_episodes());
         }
     }
 
@@ -787,9 +581,9 @@ mod tests {
             .workers(2)
             .round_size(2)
             .batches_per_episode(4)
-            .pipeline(PipelineConfig::bounded_staleness(2));
-        let mut mrsch = tiny_mrsch(13, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &tiny_curriculum(4));
+            .max_staleness(2);
+        let mut mrsch = tiny_mrsch(13, trainer);
+        let outcome = mrsch.train_with_curriculum(&tiny_curriculum(4));
         assert_eq!(outcome.total_episodes(), 12);
         assert_eq!(mrsch.agent().episodes(), 12);
         assert_eq!(outcome.reports().count(), 12);
@@ -799,32 +593,22 @@ mod tests {
 
     #[test]
     fn pipelined_lockstep_respects_plateau_rule() {
-        let trainer = TrainerConfig::default()
-            .round_size(1)
-            .batches_per_episode(4)
-            .pipeline(PipelineConfig::lockstep());
+        // An early stop with several workers, some parked on the next
+        // snapshot, must drain them out and report only absorbed work.
+        let trainer = TrainerConfig::default().workers(2).round_size(1).batches_per_episode(4);
         let budget = 6;
         let phase = CurriculumPhase::new(tiny_scenario(12, 5), budget)
             .advance_on_plateau(2, f32::INFINITY);
         let curriculum = Curriculum::new().phase(phase);
-        let mut mrsch = tiny_mrsch(7, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
+        let mut mrsch = tiny_mrsch(7, trainer);
+        let outcome = mrsch.train_with_curriculum(&curriculum);
         assert!(
             outcome.phases[0].episodes < budget,
-            "pipelined phase must end early on plateau, ran {}",
+            "phase must end early on plateau, ran {}",
             outcome.phases[0].episodes
         );
         assert_eq!(outcome.phases[0].reports.len(), outcome.phases[0].episodes);
         assert_eq!(mrsch.agent().episodes() as usize, outcome.phases[0].episodes);
-    }
-
-    #[test]
-    #[should_panic(expected = "deterministic: false")]
-    fn staleness_requires_explicit_nondeterminism_opt_in() {
-        let trainer = TrainerConfig::default()
-            .pipeline(PipelineConfig { max_staleness: 2, deterministic: true });
-        let mut mrsch = tiny_mrsch(3, trainer.clone());
-        TrainingEngine::new(trainer).train(&mut mrsch, &tiny_curriculum(1));
     }
 
     #[test]
@@ -838,7 +622,7 @@ mod tests {
             .advance_on_plateau(2, f32::INFINITY);
         let curriculum = Curriculum::new().phase(phase.clone());
         let mut mrsch = tiny_mrsch(7, trainer.clone());
-        let outcome = TrainingEngine::new(trainer.clone()).train(&mut mrsch, &curriculum);
+        let outcome = mrsch.train_with_curriculum(&curriculum);
         assert!(
             outcome.phases[0].episodes < budget,
             "phase must end early, ran {}",
@@ -848,8 +632,8 @@ mod tests {
         assert_eq!(mrsch.agent().episodes() as usize, outcome.phases[0].episodes);
         // Without the rule the same setup runs the full budget.
         let full = Curriculum::new().phase(CurriculumPhase::new(tiny_scenario(12, 5), budget));
-        let mut mrsch2 = tiny_mrsch(7, trainer.clone());
-        let out2 = TrainingEngine::new(trainer).train(&mut mrsch2, &full);
+        let mut mrsch2 = tiny_mrsch(7, trainer);
+        let out2 = mrsch2.train_with_curriculum(&full);
         assert_eq!(out2.phases[0].episodes, budget);
     }
 
@@ -861,8 +645,8 @@ mod tests {
         let curriculum = Curriculum::new()
             .phase(CurriculumPhase::new(scenario, 2).with_goal(vec![0.5, 0.5]));
         let trainer = TrainerConfig::default().round_size(2).batches_per_episode(2);
-        let mut mrsch = tiny_mrsch(4, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
+        let mut mrsch = tiny_mrsch(4, trainer);
+        let outcome = mrsch.train_with_curriculum(&curriculum);
         assert_eq!(outcome.total_episodes(), 2);
         assert_eq!(mrsch.agent().episodes(), 2);
     }

@@ -17,6 +17,7 @@
 //! Everything derives from two network passes (forward + one backward),
 //! so explanations are cheap enough to log on every decision.
 
+use crate::agent::DecisionInputs;
 use crate::encoder::StateEncoder;
 use crate::goal::GoalMode;
 use mrsch_dfp::DfpAgent;
@@ -116,17 +117,14 @@ impl<'a> Explainer<'a> {
     /// Build an explainer over an agent. The encoder must match the
     /// agent's dimensions (same check as [`crate::MrschPolicy`]).
     pub fn new(agent: &'a mut DfpAgent, encoder: StateEncoder, goal_mode: GoalMode) -> Self {
-        assert_eq!(agent.config().state_dim, encoder.state_dim());
-        assert_eq!(agent.config().num_actions, encoder.window());
+        crate::agent::check_dimensions(agent, &encoder);
         Self { agent, encoder, goal_mode }
     }
 
     /// Explain the greedy decision at a scheduler view.
     pub fn explain(&mut self, view: &SchedulerView<'_>) -> Explanation {
-        let state = self.encoder.encode(view);
-        let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
-        let goal = self.goal_mode.goal_for(view);
-        let valid = self.encoder.valid_actions(view);
+        let DecisionInputs { state, meas, goal, valid } =
+            DecisionInputs::new(&self.encoder, &self.goal_mode, view);
 
         let (scores, changes) = {
             let net = self.agent.network_mut();

@@ -17,14 +17,16 @@
 //! * [`encoder`] — the vector state encoding of §III-A / §IV-C,
 //! * [`goal`] — dynamic resource prioritizing (Eq. 1) and fixed-goal
 //!   modes,
-//! * [`agent`] — [`agent::MrschPolicy`], the [`mrsim::Policy`]
-//!   implementation wrapping a [`mrsch_dfp::DfpAgent`],
+//! * [`agent`] — [`agent::MrschPolicy`] and [`agent::TrainedMrschPolicy`],
+//!   the greedy [`mrsim::Policy`] implementations wrapping a
+//!   [`mrsch_dfp::DfpAgent`],
 //! * [`training`] — agent construction and the three-phase curriculum
 //!   trainer of §III-D,
-//! * [`engine`] — the scenario-driven training engine: curriculum
-//!   phases rolled out by parallel workers under frozen policy
-//!   snapshots and merged deterministically (worker count never changes
-//!   results, only wall-clock),
+//! * [`engine`] — the scenario-driven training engine: one round loop
+//!   in which parallel workers roll curriculum phases out under frozen
+//!   policy snapshots while the learner trains, merged deterministically
+//!   (at the default staleness 0, worker count never changes results,
+//!   only wall-clock),
 //! * [`explain`] — per-decision explanations (the paper's §VI
 //!   interpretability future work).
 //!
@@ -52,8 +54,8 @@ pub mod explain;
 pub mod goal;
 pub mod training;
 
-pub use agent::{Mode, MrschPolicy, TrainedMrschPolicy};
-pub use engine::{EngineOutcome, PhaseOutcome, PipelineConfig, TrainerConfig, TrainingEngine};
+pub use agent::{MrschPolicy, TrainedMrschPolicy};
+pub use engine::{EngineOutcome, PhaseOutcome, TrainerConfig};
 pub use explain::{Explainer, Explanation};
 pub use encoder::StateEncoder;
 pub use goal::GoalMode;
@@ -61,9 +63,9 @@ pub use training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
 
 /// Convenient re-exports for downstream users and examples.
 pub mod prelude {
-    pub use crate::agent::{Mode, MrschPolicy, TrainedMrschPolicy};
+    pub use crate::agent::{MrschPolicy, TrainedMrschPolicy};
     pub use crate::encoder::StateEncoder;
-    pub use crate::engine::{EngineOutcome, PhaseOutcome, PipelineConfig, TrainerConfig, TrainingEngine};
+    pub use crate::engine::{EngineOutcome, PhaseOutcome, TrainerConfig};
     pub use crate::goal::GoalMode;
     pub use crate::training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
     pub use mrsch_dfp::{DfpAgent, DfpConfig, StateModuleKind};

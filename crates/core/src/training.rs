@@ -6,9 +6,9 @@
 //! [`Mrsch`] handle that can train over job sets and evaluate on held-out
 //! workloads.
 
-use crate::agent::{Mode, MrschPolicy};
+use crate::agent::MrschPolicy;
 use crate::encoder::StateEncoder;
-use crate::engine::{EngineOutcome, RolloutTask, TrainerConfig, TrainingEngine};
+use crate::engine::{EngineOutcome, RolloutTask, TrainerConfig};
 use crate::goal::GoalMode;
 use mrsch_dfp::{DfpAgent, DfpConfig, StateModuleKind};
 use mrsch_workload::jobset::JobSetKind;
@@ -226,11 +226,11 @@ impl Mrsch {
     }
 
     /// Train over a scenario [`Curriculum`] with this agent's
-    /// [`TrainerConfig`] (rollout workers, round size) — the full
-    /// engine: clean-first phases, disruption hardening, parallel
+    /// [`TrainerConfig`] (rollout workers, round size, staleness) — the
+    /// full engine: clean-first phases, disruption hardening, parallel
     /// rollouts, deterministic merge.
     pub fn train_with_curriculum(&mut self, curriculum: &Curriculum) -> EngineOutcome {
-        TrainingEngine::new(self.trainer.clone()).train(self, curriculum)
+        crate::engine::train(self, curriculum)
     }
 
     /// Train over a curriculum of job sets materialized through a
@@ -299,7 +299,7 @@ impl Mrsch {
 
     /// Evaluate greedily on a job list, returning the simulator report.
     pub fn evaluate(&mut self, jobs: &[Job]) -> SimReport {
-        self.run_eval(jobs, &[], &[]).expect("no disruptions: injection cannot fail").0
+        self.run_eval(jobs, &[], &[], false).expect("no disruptions: injection cannot fail").0
     }
 
     /// Evaluate greedily under a disruption trace (cancellations,
@@ -311,7 +311,7 @@ impl Mrsch {
         jobs: &[Job],
         disruptions: &[mrsim::InjectedEvent],
     ) -> Result<SimReport, mrsim::simulator::SimError> {
-        Ok(self.run_eval(jobs, disruptions, &[])?.0)
+        Ok(self.run_eval(jobs, disruptions, &[], false)?.0)
     }
 
     /// [`Mrsch::evaluate_disrupted`] plus wait-time-aware cancel replay:
@@ -324,7 +324,7 @@ impl Mrsch {
         disruptions: &[mrsim::InjectedEvent],
         relative_cancels: &[(usize, SimTime)],
     ) -> Result<SimReport, mrsim::simulator::SimError> {
-        Ok(self.run_eval(jobs, disruptions, relative_cancels)?.0)
+        Ok(self.run_eval(jobs, disruptions, relative_cancels, false)?.0)
     }
 
     /// Evaluate and also return the per-decision goal log (Figs. 8–9).
@@ -332,22 +332,22 @@ impl Mrsch {
         &mut self,
         jobs: &[Job],
     ) -> (SimReport, Vec<(SimTime, Vec<f32>)>) {
-        self.run_eval(jobs, &[], &[]).expect("no disruptions: injection cannot fail")
+        self.run_eval(jobs, &[], &[], true).expect("no disruptions: injection cannot fail")
     }
 
+    /// The greedy evaluation run behind every `evaluate*` method; only
+    /// [`Mrsch::evaluate_with_goal_log`] keeps the goal log.
     #[allow(clippy::type_complexity)]
     fn run_eval(
         &mut self,
         jobs: &[Job],
         disruptions: &[mrsim::InjectedEvent],
         relative_cancels: &[(usize, SimTime)],
+        log_goals: bool,
     ) -> Result<(SimReport, Vec<(SimTime, Vec<f32>)>), mrsim::simulator::SimError> {
-        let mut policy = MrschPolicy::new(
-            &mut self.agent,
-            self.encoder.clone(),
-            self.goal_mode.clone(),
-            Mode::Evaluate,
-        );
+        let policy =
+            MrschPolicy::new(&mut self.agent, self.encoder.clone(), self.goal_mode.clone());
+        let mut policy = if log_goals { policy.with_goal_log() } else { policy };
         let mut sim = Simulator::new(self.system.clone(), jobs.to_vec(), self.params)
             .expect("jobs must be valid for the system");
         sim.inject_all(disruptions)?;

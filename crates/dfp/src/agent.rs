@@ -1,17 +1,16 @@
-//! The DFP agent: ε-greedy acting, episode bookkeeping, future-target
-//! construction, and minibatch training.
+//! The DFP agent: ε-greedy acting, replay, and minibatch training.
 //!
-//! Within an episode the agent records `(state, measurement, goal,
-//! action)` at each decision. When the episode ends (or lazily, once
-//! enough later measurements exist) each step is converted into an
-//! [`Experience`] whose regression targets are the *observed* measurement
-//! changes `m_{t+τ} − m_t` at every configured offset τ; offsets that run
-//! past the episode end are masked.
+//! Episodes are recorded away from the agent by an
+//! [`EpisodeRecorder`](crate::rollout::EpisodeRecorder)
+//! (the future-target construction: each step's regression targets are
+//! the *observed* measurement changes `m_{t+τ} − m_t` at every configured
+//! offset τ, masked past the episode end) and fed back with
+//! [`DfpAgent::absorb_episode`].
 
 use crate::config::DfpConfig;
 use crate::network::DfpNetwork;
 use crate::replay::{Experience, ReplayBuffer};
-use crate::rollout::{EpisodeRecorder, PolicySnapshot};
+use crate::rollout::PolicySnapshot;
 use mrsch_linalg::Matrix;
 use mrsch_nn::loss::masked_mse;
 use mrsch_nn::opt::{Adam, ExpDecay, Optimizer};
@@ -29,8 +28,6 @@ pub struct DfpAgent {
     epsilon: f32,
     episodes: u64,
     train_steps: u64,
-    /// Current-episode history (inline training path).
-    recorder: EpisodeRecorder,
 }
 
 impl DfpAgent {
@@ -51,7 +48,6 @@ impl DfpAgent {
             epsilon,
             episodes: 0,
             train_steps: 0,
-            recorder: EpisodeRecorder::new(),
         }
     }
 
@@ -122,28 +118,6 @@ impl DfpAgent {
         )
     }
 
-    /// Record a decision taken with [`DfpAgent::act`] so it can become a
-    /// training experience once its future measurements are observed.
-    pub fn record_step(&mut self, state: &[f32], meas: &[f32], goal: &[f32], action: usize) {
-        debug_assert_eq!(state.len(), self.cfg.state_dim);
-        debug_assert_eq!(meas.len(), self.cfg.measurement_dim);
-        self.recorder.record_step(state, meas, goal, action);
-    }
-
-    /// Record the post-action measurement (the environment's feedback for
-    /// the most recent step).
-    pub fn record_outcome(&mut self, meas_after: &[f32]) {
-        debug_assert_eq!(meas_after.len(), self.cfg.measurement_dim);
-        self.recorder.record_outcome(meas_after);
-    }
-
-    /// Close the episode: convert every pending step into an experience
-    /// (masking offsets that overrun the episode), decay ε, clear state.
-    pub fn finish_episode(&mut self) {
-        let exps = self.recorder.finish(&self.cfg.offsets, self.cfg.measurement_dim);
-        self.absorb_episode(exps);
-    }
-
     /// Freeze the acting parts of this agent into a [`PolicySnapshot`]
     /// that rollout workers share (one `Arc`, no per-worker clone) and
     /// drive with their own RNGs.
@@ -152,9 +126,8 @@ impl DfpAgent {
     }
 
     /// Feed one finished episode's experiences into replay — the learner
-    /// half of the snapshot/rollout split. Bookkeeping matches an inline
-    /// [`DfpAgent::finish_episode`]: the episode counter advances and ε
-    /// decays once, so detached and inline episodes are interchangeable.
+    /// half of the snapshot/rollout split. The episode counter advances
+    /// and ε decays once.
     pub fn absorb_episode(&mut self, experiences: Vec<Experience>) {
         for e in experiences {
             debug_assert_eq!(e.state.len(), self.cfg.state_dim);
@@ -241,6 +214,7 @@ fn step_adam(opt: &mut Adam, net: &mut DfpNetwork) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rollout::EpisodeRecorder;
     use rand::Rng;
 
     fn tiny_cfg() -> DfpConfig {
@@ -257,8 +231,15 @@ mod tests {
         c
     }
 
+    /// Close a recorded episode into the agent's replay.
+    fn absorb(agent: &mut DfpAgent, rec: &mut EpisodeRecorder) {
+        let exps = rec.finish(&agent.config().offsets, agent.config().measurement_dim);
+        agent.absorb_episode(exps);
+    }
+
     fn record_episode(agent: &mut DfpAgent, steps: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut rec = EpisodeRecorder::new();
         for t in 0..steps {
             let state: Vec<f32> = (0..12).map(|_| rng.gen::<f32>()).collect();
             let meas = vec![t as f32 * 0.01, 0.5];
@@ -266,9 +247,9 @@ mod tests {
             let valid = vec![true, true, false];
             let a = agent.act(&state, &meas, &goal, &valid, true).unwrap();
             assert!(a < 2, "invalid action chosen");
-            agent.record_step(&state, &meas, &goal, a);
+            rec.record_step(&state, &meas, &goal, a);
         }
-        agent.finish_episode();
+        absorb(agent, &mut rec);
     }
 
     #[test]
@@ -313,13 +294,14 @@ mod tests {
     #[test]
     fn targets_are_future_differences() {
         let mut agent = DfpAgent::new(tiny_cfg(), 4);
+        let mut rec = EpisodeRecorder::new();
         // Deterministic measurement ramp: meas[0] = 0.1 * t.
         for t in 0..4 {
             let state = vec![0.0; 12];
             let meas = vec![0.1 * t as f32, 0.0];
-            agent.record_step(&state, &meas, &[1.0, 0.0], 0);
+            rec.record_step(&state, &meas, &[1.0, 0.0], 0);
         }
-        agent.finish_episode();
+        absorb(&mut agent, &mut rec);
         // Inspect replay contents through sampling.
         let mut rng = StdRng::seed_from_u64(0);
         for e in agent.replay.sample(&mut rng, 64) {
@@ -402,11 +384,12 @@ mod tests {
     #[test]
     fn record_outcome_overwrites_provisional_measurement() {
         let mut agent = DfpAgent::new(tiny_cfg(), 8);
+        let mut rec = EpisodeRecorder::new();
         let state = vec![0.0; 12];
-        agent.record_step(&state, &[0.0, 0.0], &[1.0, 0.0], 0);
-        agent.record_outcome(&[0.9, 0.9]);
-        agent.record_step(&state, &[0.9, 0.9], &[1.0, 0.0], 0);
-        agent.finish_episode();
+        rec.record_step(&state, &[0.0, 0.0], &[1.0, 0.0], 0);
+        rec.record_outcome(&[0.9, 0.9]);
+        rec.record_step(&state, &[0.9, 0.9], &[1.0, 0.0], 0);
+        absorb(&mut agent, &mut rec);
         let mut rng = StdRng::seed_from_u64(0);
         let first = agent
             .replay

@@ -19,12 +19,11 @@
 //!   joint representation, and the dueling expectation + action streams
 //!   of the original paper (§II-B of the MRSch paper),
 //! * [`replay`] — the experience memory,
-//! * [`agent`] — ε-greedy acting, episode bookkeeping, future-target
-//!   construction, and minibatch training,
+//! * [`agent`] — ε-greedy acting, replay, and minibatch training,
 //! * [`rollout`] — frozen [`rollout::PolicySnapshot`]s and the
-//!   [`rollout::EpisodeRecorder`], so episodes can be generated on
-//!   worker threads and absorbed back into the learner
-//!   deterministically.
+//!   [`rollout::EpisodeRecorder`] (future-target construction), so
+//!   episodes can be generated on worker threads and absorbed back into
+//!   the learner deterministically.
 
 pub mod agent;
 pub mod config;

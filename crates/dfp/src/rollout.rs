@@ -8,10 +8,9 @@
 //! the agent taken at a synchronization point, an [`EpisodeRecorder`]
 //! accumulates the `(state, measurement, goal, action)` stream of one
 //! episode and converts it into masked future-difference
-//! [`Experience`]s exactly as `DfpAgent::finish_episode` does, and
-//! `DfpAgent::absorb_episode` feeds a finished episode back into the
-//! learner's replay with the same bookkeeping (episode count, ε decay)
-//! as an inline episode. Because every piece is seeded explicitly, a
+//! [`Experience`]s, and `DfpAgent::absorb_episode` feeds a finished
+//! episode back into the learner's replay (advancing the episode count
+//! and decaying ε). Because every piece is seeded explicitly, a
 //! rollout's result depends only on `(snapshot, episode spec, seed, ε)`
 //! — never on which thread ran it.
 

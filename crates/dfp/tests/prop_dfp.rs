@@ -2,7 +2,7 @@
 //! episode length and measurement trajectory, the generated experiences
 //! have correctly masked, correctly differenced targets.
 
-use mrsch_dfp::{DfpAgent, DfpConfig};
+use mrsch_dfp::{DfpAgent, DfpConfig, EpisodeRecorder};
 use proptest::prelude::*;
 
 fn tiny_cfg() -> DfpConfig {
@@ -30,15 +30,16 @@ proptest! {
         let len = meas_a.len().min(meas_b.len());
         let cfg = tiny_cfg();
         let mut agent = DfpAgent::new(cfg.clone(), 0);
+        let mut rec = EpisodeRecorder::new();
         // Encode the step index into the state so experiences are
         // attributable afterwards.
         for t in 0..len {
             let mut state = vec![0.0f32; 6];
             state[0] = t as f32;
             let meas = vec![meas_a[t], meas_b[t]];
-            agent.record_step(&state, &meas, &[0.5, 0.5], t % 3);
+            rec.record_step(&state, &meas, &[0.5, 0.5], t % 3);
         }
-        agent.finish_episode();
+        agent.absorb_episode(rec.finish(&cfg.offsets, cfg.measurement_dim));
         prop_assert_eq!(agent.replay_len(), len);
         // Drain all experiences by sampling many times and indexing by the
         // encoded step. (Uniform sampling with replacement: sample enough.)
@@ -93,8 +94,9 @@ proptest! {
         let mut agent = DfpAgent::new(cfg.clone(), 3);
         let mut prev = agent.epsilon();
         for _ in 0..episodes {
-            agent.record_step(&[0.0; 6], &[0.1, 0.1], &[0.5, 0.5], 0);
-            agent.finish_episode();
+            let mut rec = EpisodeRecorder::new();
+            rec.record_step(&[0.0; 6], &[0.1, 0.1], &[0.5, 0.5], 0);
+            agent.absorb_episode(rec.finish(&cfg.offsets, cfg.measurement_dim));
             let eps = agent.epsilon();
             prop_assert!(eps <= prev);
             prop_assert!(eps >= cfg.epsilon_min);

@@ -50,7 +50,6 @@ pub mod cache;
 pub mod harness;
 pub mod registry;
 pub mod scenario_registry;
-pub mod scenarios;
 pub mod table;
 
 pub use cache::{cache_key, is_cacheable, CacheKey, KeyHasher, PolicyCache};
@@ -60,5 +59,3 @@ pub use harness::{
 };
 pub use registry::{trained_mrsch, BuildContext, MrschSpec, PolicySpec};
 pub use scenario_registry::{build_scenarios, ScenarioParseError, ScenarioSpec};
-#[allow(deprecated)]
-pub use scenarios::{named_scenario, named_scenarios, scenario_names};

@@ -51,7 +51,19 @@ fn every_registered_spec_round_trips_and_materializes_deterministically() {
                 "{name}: makespan beat the lower bound on a disruption-free episode"
             );
         }
+        // Drains must reach the simulator as capacity events.
+        if spec == ScenarioSpec::Drain {
+            assert!(
+                a.events.iter().any(|e| matches!(e.kind, EventKind::CapacityChange { .. })),
+                "{name}: a drain episode must change capacity"
+            );
+        }
     }
+    // Underscores are accepted for hyphens and normalize to the
+    // canonical name; overruns switch on walltime enforcement.
+    let aliased = build(&ScenarioSpec::parse("overrun_heavy").unwrap());
+    assert_eq!(aliased.name, "overrun-heavy", "underscores normalize to hyphens");
+    assert!(aliased.params.enforce_walltime);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use crate::comparison::train_mrsch;
 use crate::csv;
 use crate::scale::ExpScale;
-use mrsch::agent::{Mode, MrschPolicy};
+use mrsch::agent::MrschPolicy;
 use mrsch::prelude::*;
 use mrsch_workload::split::paper_split;
 
@@ -67,8 +67,7 @@ pub fn goal_mode(scale: &ExpScale, seed: u64) -> Vec<AblationRow> {
         ("fixed_goal(0.5/0.5)", GoalMode::uniform(2)),
     ] {
         let encoder = StateEncoder::with_hour_scale(system.clone(), scale.window);
-        let mut policy =
-            MrschPolicy::new(agent.agent_mut(), encoder, mode, Mode::Evaluate);
+        let mut policy = MrschPolicy::new(agent.agent_mut(), encoder, mode);
         let report = Simulator::new(system.clone(), jobs.clone(), scale.sim_params())
             .expect("valid jobs")
             .run(&mut policy);
@@ -85,12 +84,7 @@ pub fn starvation_guards(scale: &ExpScale, seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for (label, backfill) in [("guards_on", true), ("guards_off", false)] {
         let encoder = StateEncoder::with_hour_scale(system.clone(), scale.window);
-        let mut policy = MrschPolicy::new(
-            agent.agent_mut(),
-            encoder,
-            GoalMode::Dynamic,
-            Mode::Evaluate,
-        );
+        let mut policy = MrschPolicy::new(agent.agent_mut(), encoder, GoalMode::Dynamic);
         let params = SimParams::new(scale.window, backfill);
         let report = Simulator::new(system.clone(), jobs.clone(), params)
             .expect("valid jobs")

@@ -14,7 +14,7 @@ fn usage() -> ! {
         "usage: mrsch_cli [simulate] --swf FILE [--workload S1..S10] [--nodes N] [--bb B] \
          [--policy fcfs|sjf|ljf|ga|mrsch] [--window W] [--seed S] \
          [--train-episodes K] [--model OUT.ckpt] [--load IN.ckpt] \
-         [--workers N] [--pipeline [--max-staleness K]] \
+         [--workers N] [--max-staleness K] \
          [--snapshot-every N --snapshot-dir DIR]\n\
          \n\
          mrsch_cli resume --from DIR/shard-0000.snap [--policy fcfs|sjf|ljf|ga] [--seed S]\n\

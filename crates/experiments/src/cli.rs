@@ -5,10 +5,9 @@
 //! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 \
 //!           --policy fcfs|sjf|ljf|ga|mrsch [--window 10] [--seed 1] \
 //!           [--train-episodes 4] [--model out.ckpt | --load model.ckpt] \
-//!           [--curriculum clean|harden] [--workers N] \
-//!           [--pipeline [--max-staleness K]] \
+//!           [--curriculum clean|harden] [--workers N] [--max-staleness K] \
 //!           [--cancel-frac F] [--overrun-frac F] [--drain-frac F] \
-//!           [--replay-swf-cancels | --replay-swf-cancels-faithful] \
+//!           [--replay-swf-cancels-faithful] \
 //!           [--snapshot-every N --snapshot-dir DIR]
 //!
 //! mrsch_cli resume --from DIR/shard-0000.snap [--policy fcfs|sjf|ljf|ga]
@@ -36,9 +35,9 @@
 //! through the clean → cancel-heavy → drain-heavy scenario curriculum
 //! (episodes per phase = `--train-episodes`) with `--workers` parallel
 //! rollout threads; worker count never changes the result, only the
-//! wall-clock. `--pipeline` overlaps rollout and learning
-//! (lockstep/bit-identical by default; `--max-staleness K` with `K > 0`
-//! opts into bounded-staleness nondeterminism for more throughput).
+//! wall-clock. `--max-staleness K` with `K > 0` lets rollouts run up to
+//! `K` snapshots behind the learner, trading determinism for overlap
+//! (the default 0 is the deterministic round barrier).
 //! `--policy-cache DIR` memoizes trained policies content-addressed by
 //! their full training configuration, so repeated grids skip training;
 //! `--require-warm-cache` fails the run if any cell had to retrain.
@@ -52,9 +51,7 @@ use mrsch::prelude::*;
 use mrsch_baselines::heuristics::{ListOrder, ListPolicy};
 use mrsch_baselines::{FcfsPolicy, GaPolicy};
 use mrsch_eval::{EvalPlan, PolicySpec};
-use mrsch_workload::disruption::{
-    swf_cancel_events, swf_relative_cancels, DisruptionConfig, DrainSpec,
-};
+use mrsch_workload::disruption::{swf_relative_cancels, DisruptionConfig, DrainSpec};
 use mrsch_workload::swf::parse_swf;
 use mrsch_workload::theta::TraceJob;
 use mrsim::{InjectedEvent, SimTime};
@@ -113,10 +110,6 @@ pub struct CliArgs {
     pub enforce_walltime: bool,
     /// Periodic tick interval for time-driven policies (seconds).
     pub tick: Option<SimTime>,
-    /// Replay the SWF trace's own cancelled-status jobs as cancels at
-    /// `submit + recorded_runtime` (the absolute-time proxy — the
-    /// pre-existing behavior, kept behind this pre-existing flag).
-    pub replay_swf_cancels: bool,
     /// Replay SWF cancels wait-time-aware: each fires at
     /// `start + recorded_runtime` of the *simulated* run.
     pub replay_swf_cancels_faithful: bool,
@@ -125,11 +118,8 @@ pub struct CliArgs {
     pub curriculum: Option<String>,
     /// Parallel rollout worker threads for curriculum training.
     pub workers: usize,
-    /// Pipeline rollout against published snapshots instead of barrier
-    /// round-synchronization (lockstep unless `max_staleness > 0`).
-    pub pipeline: bool,
-    /// Staleness bound for pipelined training; `> 0` explicitly opts
-    /// into nondeterministic (but bounded-lag) learning.
+    /// Snapshot versions a curriculum rollout may lag behind its round;
+    /// `> 0` opts into nondeterministic (but bounded-lag) learning.
     pub max_staleness: usize,
     /// Write a checkpoint every N event batches (baseline policies).
     pub snapshot_every: Option<u64>,
@@ -143,7 +133,6 @@ impl CliArgs {
         self.cancel_frac > 0.0
             || self.overrun_frac > 0.0
             || self.drain_frac > 0.0
-            || self.replay_swf_cancels
             || self.replay_swf_cancels_faithful
     }
 }
@@ -169,11 +158,9 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         drain_duration: 0,
         enforce_walltime: false,
         tick: None,
-        replay_swf_cancels: false,
         replay_swf_cancels_faithful: false,
         curriculum: None,
         workers: 1,
-        pipeline: false,
         max_staleness: 0,
         snapshot_every: None,
         snapshot_dir: None,
@@ -247,14 +234,12 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 out.tick =
                     Some(value("--tick")?.parse().map_err(|_| "--tick: not a number")?)
             }
-            "--replay-swf-cancels" => out.replay_swf_cancels = true,
             "--replay-swf-cancels-faithful" => out.replay_swf_cancels_faithful = true,
             "--curriculum" => out.curriculum = Some(value("--curriculum")?.to_lowercase()),
             "--workers" => {
                 out.workers =
                     value("--workers")?.parse().map_err(|_| "--workers: not a number")?
             }
-            "--pipeline" => out.pipeline = true,
             "--max-staleness" => {
                 out.max_staleness = value("--max-staleness")?
                     .parse()
@@ -270,9 +255,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--snapshot-dir" => out.snapshot_dir = Some(value("--snapshot-dir")?),
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
-    if out.max_staleness > 0 && !out.pipeline {
-        return Err("--max-staleness requires --pipeline".into());
     }
     if out.snapshot_every.is_some() != out.snapshot_dir.is_some() {
         return Err("--snapshot-every and --snapshot-dir must be given together".into());
@@ -353,13 +335,12 @@ fn disruptions_for(
         overrun_factor: args.overrun_factor,
         drains,
     };
-    let mut disrupted = cfg.synthesize(&jobs, system, args.seed ^ 0x5eed);
-    let mut relative = Vec::new();
-    if args.replay_swf_cancels_faithful {
-        relative = swf_relative_cancels(&disrupted.jobs, trace);
-    } else if args.replay_swf_cancels {
-        disrupted.events.extend(swf_cancel_events(&disrupted.jobs, trace));
-    }
+    let disrupted = cfg.synthesize(&jobs, system, args.seed ^ 0x5eed);
+    let relative = if args.replay_swf_cancels_faithful {
+        swf_relative_cancels(&disrupted.jobs, trace)
+    } else {
+        Vec::new()
+    };
     (disrupted.jobs, disrupted.events, relative)
 }
 
@@ -451,14 +432,8 @@ pub fn run_on_trace(args: &CliArgs, trace: &[TraceJob]) -> Result<SimReport, Str
         CliPolicy::Ljf => run_baseline(&mut ListPolicy::new(ListOrder::LongestFirst))?,
         CliPolicy::Ga => run_baseline(&mut GaPolicy::with_seed(args.seed))?,
         CliPolicy::Mrsch => {
-            let mut trainer = TrainerConfig::default().workers(args.workers);
-            if args.pipeline {
-                trainer = trainer.pipeline(if args.max_staleness > 0 {
-                    PipelineConfig::bounded_staleness(args.max_staleness)
-                } else {
-                    PipelineConfig::lockstep()
-                });
-            }
+            let trainer =
+                TrainerConfig::default().workers(args.workers).max_staleness(args.max_staleness);
             let mut agent = MrschBuilder::new(system.clone(), params)
                 .seed(args.seed)
                 .trainer(trainer)
@@ -1023,34 +998,17 @@ mod tests {
 
     #[test]
     fn parses_pipeline_flags() {
-        let a = parse_args(&args(&[
-            "--swf", "t.swf", "--workers", "4", "--pipeline", "--max-staleness", "2",
-        ]))
-        .unwrap();
-        assert!(a.pipeline);
-        assert_eq!(a.max_staleness, 2);
-        let lockstep = parse_args(&args(&["--swf", "t.swf", "--pipeline"])).unwrap();
-        assert!(lockstep.pipeline);
-        assert_eq!(lockstep.max_staleness, 0, "--pipeline alone is lockstep");
-        let err = parse_args(&args(&["--swf", "t.swf", "--max-staleness", "2"])).unwrap_err();
-        assert!(err.contains("--pipeline"), "{err}");
-    }
-
-    #[test]
-    fn pipelined_cli_run_is_bit_identical_to_barrier() {
-        let trace = ThetaConfig { machine_nodes: 16, ..ThetaConfig::scaled(24) }.generate(7);
-        let run = |extra: &[&str]| {
-            let mut v = vec![
-                "--swf", "unused.swf", "--workload", "S1", "--nodes", "16", "--bb", "8",
-                "--policy", "mrsch", "--window", "4", "--train-episodes", "1",
-                "--curriculum", "clean", "--workers", "2",
-            ];
-            v.extend_from_slice(extra);
-            run_on_trace(&parse_args(&args(&v)).unwrap(), &trace).unwrap()
-        };
-        let barrier = run(&[]);
-        let pipelined = run(&["--pipeline"]);
-        assert_eq!(barrier.records, pipelined.records, "lockstep pipeline is a pure wall-clock knob");
+        let a = parse_args(&args(&["--swf", "t.swf", "--workers", "4", "--max-staleness", "2"]))
+            .unwrap();
+        assert_eq!(a.max_staleness, 2, "--max-staleness stands alone");
+        let default = parse_args(&args(&["--swf", "t.swf"])).unwrap();
+        assert_eq!(default.max_staleness, 0, "the round barrier is the default");
+        for gone in ["--pipeline", "--replay-swf-cancels"] {
+            let err = parse_args(&args(&["--swf", "t.swf", gone])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{gone}: {err}");
+        }
+        let err = parse_args(&args(&["--swf", "t.swf", "--max-staleness", "x"])).unwrap_err();
+        assert!(err.contains("--max-staleness"), "{err}");
     }
 
     #[test]

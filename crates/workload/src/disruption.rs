@@ -14,9 +14,10 @@
 //! [`DisruptionTrace`]: a (possibly modified) job list plus the
 //! [`InjectedEvent`]s to feed `Simulator::inject_all`. Everything is
 //! seeded and deterministic. SWF traces carry their own disruption
-//! record in the status column; [`swf_cancel_events`] maps the archive's
-//! `cancelled` status through to [`EventKind::Cancel`] events so real
-//! logs replay with their real cancellations.
+//! record in the status column; [`swf_relative_cancels`] maps the
+//! archive's `cancelled` status through to cancels anchored at each
+//! job's simulated start, so real logs replay with their real
+//! cancellations.
 
 use crate::theta::{SwfStatus, TraceJob};
 use mrsim::event::{EventKind, InjectedEvent};
@@ -137,24 +138,6 @@ impl DisruptionConfig {
     }
 }
 
-/// Map SWF `cancelled` status codes to [`EventKind::Cancel`] events.
-///
-/// `jobs` is the materialized job list (e.g. from `WorkloadSpec::build`)
-/// and `trace` the source [`TraceJob`]s carrying statuses; the two align
-/// by index. The archive records a cancelled job's observed lifetime in
-/// its runtime column, so the cancel fires at `submit + runtime` — a
-/// faithful replay when the simulated schedule tracks the original, and
-/// a reasonable proxy otherwise. Killed jobs need no event: the SWF
-/// convention leaves their runtime at/above the request, so the walltime
-/// enforcer handles them.
-pub fn swf_cancel_events(jobs: &[Job], trace: &[TraceJob]) -> Vec<InjectedEvent> {
-    jobs.iter()
-        .zip(trace)
-        .filter(|(_, t)| t.status == SwfStatus::Cancelled)
-        .map(|(j, _)| InjectedEvent::new(j.submit + j.runtime, EventKind::Cancel(j.id)))
-        .collect()
-}
-
 /// Map SWF `cancelled` statuses to *wait-time-aware* relative cancels:
 /// `(job id, recorded lifetime)` pairs for
 /// `Simulator::schedule_cancel_after_start`, so each replayed cancel
@@ -164,7 +147,9 @@ pub fn swf_cancel_events(jobs: &[Job], trace: &[TraceJob]) -> Vec<InjectedEvent>
 /// from the original (different policy, disruptions, backfilling): the
 /// archive's runtime column records how long the cancelled job actually
 /// ran, and that lifetime is anchored to the job's start — not its
-/// submission. [`swf_cancel_events`] remains the absolute-time proxy.
+/// submission. Killed jobs need no entry: the SWF convention leaves
+/// their runtime at/above the request, so the walltime enforcer handles
+/// them.
 ///
 /// The delay comes from the *trace's* runtime column, not the job
 /// list's — a synthetic overrun layer may have inflated a job's
@@ -305,13 +290,8 @@ mod tests {
                 status,
             })
             .collect();
-        let events = swf_cancel_events(&base, &trace);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::Cancel(1));
-        assert_eq!(events[0].time, base[1].submit + base[1].runtime);
-        assert_eq!(events[1].kind, EventKind::Cancel(3));
-        // The wait-aware mapping picks the same victims but anchors to
-        // the simulated start via relative delays.
+        // Only the cancelled jobs become cancels, each anchored to its
+        // simulated start by the recorded lifetime.
         let relative = swf_relative_cancels(&base, &trace);
         assert_eq!(relative, vec![(1, base[1].runtime), (3, base[3].runtime)]);
     }

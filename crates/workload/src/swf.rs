@@ -19,7 +19,7 @@
 //! Jobs with unknown (-1) or zero runtime/processors are skipped, as is
 //! standard practice when replaying SWF logs. Cancelled/failed jobs that
 //! did run are kept, carrying their status so disruption replay
-//! (`crate::disruption::swf_cancel_events`) can re-issue the trace's
+//! (`crate::disruption::swf_relative_cancels`) can re-issue the trace's
 //! cancellations.
 
 use crate::theta::{SwfStatus, TraceJob};

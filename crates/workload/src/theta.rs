@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// (column 11: 1 = completed, 0 = failed, 5 = cancelled). Synthetic
 /// traces generate [`SwfStatus::Completed`]; SWF ingestion maps the real
 /// codes through so disruption replay can re-issue the trace's
-/// cancellations (see `crate::disruption::swf_cancel_events`).
+/// cancellations (see `crate::disruption::swf_relative_cancels`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SwfStatus {
     /// Ran to completion (SWF code 1, and anything unrecognized).
