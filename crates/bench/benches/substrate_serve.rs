@@ -128,11 +128,7 @@ fn main() {
         target_qps: if quick { 2_000.0 } else { 5_000.0 },
         seed: SEED,
     };
-    let report = run_loadtest(
-        engine,
-        BatcherConfig { max_delay: Duration::from_micros(500), ..BatcherConfig::default() },
-        &load,
-    );
+    let report = run_loadtest(engine, BatcherConfig::default(), &load);
     assert_eq!(
         report.dropped, 0,
         "micro-batcher shed {} of {} requests under the CI load profile",

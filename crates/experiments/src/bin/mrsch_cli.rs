@@ -5,7 +5,7 @@
 //! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 --policy mrsch
 //! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
 //! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
-//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8 --delay-us 2000
+//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8
 //! ```
 use mrsch_experiments::cli;
 
@@ -26,7 +26,7 @@ fn usage() -> ! {
          [--policy-cache DIR [--require-warm-cache]] [--csv GRID.csv]\n\
          \n\
          mrsch_cli serve [--mode stdin|tcp|loadtest] [--addr HOST:PORT] [--policy mrsch] \
-         [--batch N] [--delay-us T] [--workers N] [--requests N] [--qps Q] (serve --help for all)"
+         [--batch N] [--workers N] [--requests N] [--qps Q] (serve --help for all)"
     );
     std::process::exit(2);
 }
@@ -42,7 +42,8 @@ fn main() {
     let result = match args[0].as_str() {
         "evaluate" => cli::evaluate_main(&args[1..]),
         "resume" => cli::resume_main(&args[1..]),
-        "serve" => mrsch_serve::cli::serve_main(&args[1..]).map(|s| format!("{s}\n")),
+        "serve" => mrsch_serve::cli::serve_main(&args[1..])
+            .map(|s| if s.is_empty() { s } else { format!("{s}\n") }),
         "simulate" => cli::main_with_args(&args[1..]),
         _ => cli::main_with_args(&args),
     };

@@ -1,16 +1,18 @@
-//! Bounded micro-batching queue with a worker pool.
+//! Bounded, work-conserving micro-batching queue with a worker pool.
 //!
-//! Requests land in a bounded queue; a worker flushes a batch when
-//! either the queue depth reaches `max_batch` **or** the oldest queued
-//! request has waited `max_delay` (the classic depth-`B`-or-deadline-τ
-//! micro-batching policy). Each flush is one
-//! [`DecisionEngine::decide_batch`] call — one forward pass over the
-//! whole batch, row by row through the gemv kernel.
+//! Requests land in a bounded queue. A free worker takes whatever is
+//! queued — up to `max_batch` requests — at once and decides it with one
+//! [`DecisionEngine::decide_batch`] call (one forward pass over the
+//! whole batch, row by row through the gemv kernel). Nothing waits for
+//! a batch to fill: a row costs the same alone as in a batch, so holding
+//! a partial batch back would add latency and save no compute. Under
+//! backlog, requests queue up while the workers are busy and batches
+//! fill to `max_batch` on their own.
 //!
 //! Because batched and single decisions are bit-identical (see
 //! [`crate::engine`]), the *decisions* served are a pure function of
-//! the requests: flush depth, deadline timing, and worker count only
-//! move latency/throughput, never outputs. The
+//! the requests: flush depth and worker count only move
+//! latency/throughput, never outputs. The
 //! `flush_depth_never_changes_decisions` test locks this.
 //!
 //! Backpressure is explicit: [`MicroBatcher::submit`] returns `false`
@@ -25,15 +27,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Micro-batching knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many requests are queued.
+    /// Most requests one worker decides in one pass.
     pub max_batch: usize,
-    /// ... or as soon as the oldest queued request is this old.
-    pub max_delay: Duration,
     /// Queue bound; submits beyond it are dropped (shed, not blocked).
     pub queue_capacity: usize,
     /// Worker threads draining the queue.
@@ -42,12 +42,7 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            queue_capacity: 1024,
-            workers: 1,
-        }
+        Self { max_batch: 8, queue_capacity: 1024, workers: 1 }
     }
 }
 
@@ -90,8 +85,23 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Spawn the worker pool.
     pub fn start(engine: DecisionEngine, cfg: BatcherConfig) -> Self {
-        assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
         assert!(cfg.workers >= 1, "workers must be >= 1");
+        let mut batcher = Self::without_workers(engine, cfg);
+        batcher.workers = (0..cfg.workers)
+            .map(|i| {
+                let inner = Arc::clone(&batcher.inner);
+                std::thread::Builder::new()
+                    .name(format!("mrsch-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&inner))
+                    .expect("spawn batcher worker")
+            })
+            .collect();
+        batcher
+    }
+
+    /// The queue alone; nothing drains it until workers are spawned.
+    fn without_workers(engine: DecisionEngine, cfg: BatcherConfig) -> Self {
+        assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
         let inner = Arc::new(Inner {
             engine,
             cfg,
@@ -100,16 +110,7 @@ impl MicroBatcher {
             shutdown: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
         });
-        let workers = (0..cfg.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("mrsch-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn batcher worker")
-            })
-            .collect();
-        Self { inner, workers }
+        Self { inner, workers: Vec::new() }
     }
 
     /// Enqueue a request; its [`Reply`] arrives on `reply_tx`. Returns
@@ -147,46 +148,26 @@ impl MicroBatcher {
     }
 }
 
-fn worker_loop(inner: &Inner) {
+/// Block until work is queued, then take up to `max_batch` of it at
+/// once. `None` once shut down with the queue drained.
+fn next_batch(inner: &Inner) -> Option<Vec<Pending>> {
     let mut queue = inner.queue.lock().unwrap();
-    loop {
-        // Wait for work (or shutdown with an empty queue).
-        while queue.is_empty() {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            queue = inner.notify.wait(queue).unwrap();
+    while queue.is_empty() {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return None;
         }
-        // Work is queued: wait for depth B or the oldest request's
-        // deadline. Both the deadline and emptiness must be re-checked
-        // after every wake-up — another worker may have drained the
-        // queue while we slept.
-        loop {
-            if queue.len() >= inner.cfg.max_batch || inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Some(front) = queue.front() else { break };
-            let deadline = front.submitted + inner.cfg.max_delay;
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (q, _timeout) = inner.notify.wait_timeout(queue, deadline - now).unwrap();
-            queue = q;
-            if queue.is_empty() {
-                break;
-            }
-        }
-        if queue.is_empty() {
-            continue;
-        }
-        let take = queue.len().min(inner.cfg.max_batch);
-        let batch: Vec<Pending> = queue.drain(..take).collect();
-        drop(queue);
+        queue = inner.notify.wait(queue).unwrap();
+    }
+    let take = queue.len().min(inner.cfg.max_batch);
+    Some(queue.drain(..take).collect())
+}
 
+fn worker_loop(inner: &Inner) {
+    while let Some(batch) = next_batch(inner) {
         let reqs: Vec<&Request> = batch.iter().map(|p| &p.req).collect();
         let actions = inner.engine.decide_batch(&reqs);
         let completed = Instant::now();
+        let batch_size = batch.len();
         for (pending, action) in batch.into_iter().zip(actions) {
             // A closed receiver just means the client went away.
             let _ = pending.tx.send(Reply {
@@ -194,10 +175,9 @@ fn worker_loop(inner: &Inner) {
                 action,
                 submitted: pending.submitted,
                 completed,
-                batch_size: take,
+                batch_size,
             });
         }
-        queue = inner.queue.lock().unwrap();
     }
 }
 
@@ -208,6 +188,11 @@ mod tests {
     use crate::loadgen::synth_requests;
     use std::collections::BTreeMap;
     use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn test_engine() -> DecisionEngine {
+        build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() })
+    }
 
     fn collect_decisions(
         engine: &DecisionEngine,
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn flush_depth_never_changes_decisions() {
-        let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
+        let engine = test_engine();
         let reqs = synth_requests(engine.config(), 24, 99);
         let serial: BTreeMap<u64, Option<usize>> =
             reqs.iter().map(|r| (r.id, engine.decide_one(r))).collect();
@@ -238,29 +223,26 @@ mod tests {
             let got = collect_decisions(
                 &engine,
                 &reqs,
-                BatcherConfig { max_batch, max_delay: Duration::from_millis(1), ..Default::default() },
+                BatcherConfig { max_batch, ..Default::default() },
             );
             assert_eq!(got, serial, "flush depth {max_batch} changed a decision");
         }
     }
 
     #[test]
-    fn deadline_flushes_partial_batches() {
-        let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
+    fn idle_worker_answers_a_partial_batch() {
+        let engine = test_engine();
         let reqs = synth_requests(engine.config(), 3, 5);
-        // Depth 64 can never fill from 3 requests: only τ can flush.
-        let cfg = BatcherConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(5),
-            ..Default::default()
-        };
+        // Depth 64 can never fill from 3 requests: a free worker must
+        // take what is there.
+        let cfg = BatcherConfig { max_batch: 64, ..Default::default() };
         let batcher = MicroBatcher::start(engine.clone(), cfg);
         let (tx, rx) = mpsc::channel();
         for req in &reqs {
             assert!(batcher.submit(req.clone(), tx.clone()));
         }
         for _ in 0..reqs.len() {
-            let reply = rx.recv_timeout(Duration::from_secs(5)).expect("deadline flush");
+            let reply = rx.recv_timeout(Duration::from_secs(5)).expect("partial batch answered");
             assert!(reply.batch_size <= reqs.len());
         }
         assert_eq!(batcher.dropped(), 0);
@@ -268,21 +250,38 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_sheds_instead_of_blocking() {
-        let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
-        let reqs = synth_requests(engine.config(), 4, 1);
-        let cfg = BatcherConfig { queue_capacity: 2, max_delay: Duration::from_secs(5), ..Default::default() };
-        let batcher = MicroBatcher::start(engine, cfg);
-        // Stuff the queue faster than the (deadline-gated) worker drains.
+    fn a_free_worker_takes_what_is_queued_up_to_max_batch() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 5, 8);
+        let batcher = MicroBatcher::without_workers(
+            engine,
+            BatcherConfig { max_batch: 2, ..Default::default() },
+        );
         let (tx, _rx) = mpsc::channel();
-        let mut accepted = 0;
         for req in &reqs {
-            if batcher.submit(req.clone(), tx.clone()) {
-                accepted += 1;
-            }
+            assert!(batcher.submit(req.clone(), tx.clone()));
         }
-        assert!(accepted >= 2, "capacity-2 queue must accept at least 2");
-        assert_eq!(batcher.dropped() + accepted, reqs.len() as u64);
+        let sizes: Vec<usize> =
+            (0..3).map(|_| next_batch(&batcher.inner).expect("work queued").len()).collect();
+        assert_eq!(sizes, [2, 2, 1], "batches fill to max_batch, the rest goes at once");
+        assert!(batcher.inner.queue.lock().unwrap().is_empty());
+        batcher.inner.shutdown.store(true, Ordering::SeqCst);
+        assert!(next_batch(&batcher.inner).is_none(), "shut down with an empty queue");
+    }
+
+    #[test]
+    fn full_queue_sheds_instead_of_blocking() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 5, 1);
+        // No workers: nothing drains the queue, so it fills exactly.
+        let cfg = BatcherConfig { queue_capacity: 2, ..Default::default() };
+        let batcher = MicroBatcher::without_workers(engine, cfg);
+        let (tx, _rx) = mpsc::channel();
+        let accepted: Vec<bool> =
+            reqs.iter().map(|req| batcher.submit(req.clone(), tx.clone())).collect();
+        assert_eq!(accepted, [true, true, false, false, false], "sheds from capacity on");
+        assert_eq!(batcher.dropped(), 3);
+        assert_eq!(batcher.inner.queue.lock().unwrap().len(), 2);
         batcher.shutdown();
     }
 }

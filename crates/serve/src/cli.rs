@@ -11,7 +11,6 @@ use crate::engine::{build_engine, EngineSpec};
 use crate::loadgen::LoadgenConfig;
 use crate::server;
 use mrsch_eval::PolicySpec;
-use std::time::Duration;
 
 const USAGE: &str = "\
 mrsch_cli serve [--mode stdin|tcp|loadtest] [options]
@@ -23,9 +22,8 @@ Serving:
   --addr HOST:PORT     TCP listen address       [127.0.0.1:7077]
   --policy SPEC        registry policy to serve (mrsch, mrsch:cnn) [mrsch]
 
-Micro-batching:
-  --batch N            flush at queue depth N   [8]
-  --delay-us MICROS    ... or after the oldest request waits τ [2000]
+Micro-batching (a free worker decides what is queued at once):
+  --batch N            most requests per batch  [8]
   --queue-capacity N   bound before shedding    [1024]
   --workers N          batch worker threads     [1]
 
@@ -60,9 +58,6 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
             "--addr" => addr = value("--addr")?,
             "--policy" => policy = value("--policy")?,
             "--batch" => batcher.max_batch = parse(&value("--batch")?, "--batch")?,
-            "--delay-us" => {
-                batcher.max_delay = Duration::from_micros(parse(&value("--delay-us")?, "--delay-us")?)
-            }
             "--queue-capacity" => {
                 batcher.queue_capacity = parse(&value("--queue-capacity")?, "--queue-capacity")?
             }
@@ -98,6 +93,19 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
 
     if !matches!(mode.as_str(), "stdin" | "tcp" | "loadtest") {
         return Err(format!("unknown mode '{mode}'\n\n{USAGE}"));
+    }
+    for (flag, value) in [
+        ("--batch", batcher.max_batch),
+        ("--queue-capacity", batcher.queue_capacity),
+        ("--workers", batcher.workers),
+        ("--window", spec.window),
+    ] {
+        if value == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
+    }
+    if !(load.target_qps.is_finite() && load.target_qps > 0.0) {
+        return Err(format!("--qps must be a positive number, got {}", load.target_qps));
     }
     let engine = build_engine(&spec);
     match mode.as_str() {
@@ -142,7 +150,7 @@ mod tests {
     fn loadtest_mode_end_to_end() {
         let out = serve_main(&argv(
             "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000 \
-             --batch 4 --delay-us 500",
+             --batch 4",
         ))
         .expect("loadtest runs");
         assert!(out.contains("32 answered, 0 dropped"), "report: {out}");
@@ -156,5 +164,23 @@ mod tests {
         assert!(serve_main(&argv("--batch")).unwrap_err().contains("needs a value"));
         assert!(serve_main(&argv("--policy fcfs")).unwrap_err().contains("not a servable"));
         assert!(serve_main(&argv("--help")).unwrap().contains("mrsch_cli serve"));
+        assert!(serve_main(&argv("--delay-us 2000")).unwrap_err().contains("unknown flag '--delay-us'"));
+    }
+
+    #[test]
+    fn degenerate_values_are_rejected_by_flag() {
+        for (args, flag) in [
+            ("--batch 0", "--batch"),
+            ("--workers 0", "--workers"),
+            ("--window 0", "--window"),
+            ("--queue-capacity 0", "--queue-capacity"),
+            ("--mode loadtest --qps 0", "--qps"),
+            ("--mode loadtest --qps NaN", "--qps"),
+            ("--mode loadtest --qps -5", "--qps"),
+            ("--mode loadtest --qps inf", "--qps"),
+        ] {
+            let err = serve_main(&argv(args)).expect_err(args);
+            assert!(err.starts_with(flag), "{args}: {err}");
+        }
     }
 }

@@ -14,9 +14,10 @@
 //! The two are **bit-identical** per request: every output element is a
 //! `mul_add` chain over its own row only, so stacking rows can never
 //! change any row's result. `decide_batch` therefore
-//! returns exactly what `B` separate `decide_one` calls would — the
-//! micro-batcher trades latency for throughput without ever trading
-//! away determinism (locked by tests here and in `batcher`).
+//! returns exactly what `B` separate `decide_one` calls would, and
+//! costs about as much: how the micro-batcher groups requests moves
+//! neither a decision nor the compute spent (locked by tests here and
+//! in `batcher`).
 
 use crate::protocol::Request;
 use mrsch::prelude::{JobSource, Scenario, SimParams, SystemConfig, ThetaConfig, WorkloadSpec};

@@ -13,9 +13,9 @@
 //!   micro-batches (row by row through the same gemv kernel),
 //!   **bit-identically** — coalescing
 //!   can never change a decision;
-//! * [`batcher`] — a bounded micro-batching queue: requests accumulate
-//!   until depth `B` or a deadline `τ`, then a worker pool flushes them
-//!   through [`engine::DecisionEngine::decide_batch`];
+//! * [`batcher`] — a bounded, work-conserving micro-batching queue: a
+//!   free worker takes what is queued (up to depth `B`) at once and
+//!   decides it through [`engine::DecisionEngine::decide_batch`];
 //! * [`histogram`] — an HDR-style log-bucketed latency histogram
 //!   (p50/p95/p99 at ≤ 1/16 relative error, fixed memory);
 //! * [`loadgen`] — a seeded open-arrival load generator (Poisson
@@ -28,8 +28,8 @@
 //!
 //! Determinism: the decision path inherits the GEMM/gemv bit-exactness
 //! contract, so the served action stream is a pure function of
-//! `(weights, request)` — independent of batching depth, flush timing,
-//! worker count, and transport.
+//! `(weights, request)` — independent of batching depth, worker count,
+//! and transport.
 
 pub mod batcher;
 pub mod cli;

@@ -19,6 +19,21 @@
 //! one-liner; parsing is off the scoring hot path (it happens on the
 //! connection thread, before the micro-batch queue).
 
+use mrsch_dfp::DfpConfig;
+
+/// Bytes allowed per value in [`max_request_len`]. `f32`'s `Display`
+/// never uses an exponent, so its longest renderings are the tiny
+/// values (`-0.000…0001`, up to ~50 characters) and `-f32::MAX` (40).
+const BYTES_PER_VALUE: usize = 64;
+
+/// The longest request line a network shaped like `cfg` needs: 64 bytes
+/// per float, one per validity bit, and 64 for the id and separators.
+/// Every [`format_request`] line for these shapes fits; servers skip
+/// longer lines as malformed instead of buffering them.
+pub fn max_request_len(cfg: &DfpConfig) -> usize {
+    (cfg.state_dim + 2 * cfg.measurement_dim) * BYTES_PER_VALUE + cfg.num_actions + 64
+}
+
 /// One decision request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Request {
@@ -141,6 +156,21 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn every_f32_fits_its_share_of_the_line_cap() {
+        // A stride over every bit pattern, both signs, plus the extremes
+        // (smallest and largest subnormal, smallest normal, f32::MAX).
+        let widest = (0..=u32::MAX >> 1)
+            .step_by(32_749)
+            .chain([1, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff])
+            .flat_map(|bits| [bits, bits | 0x8000_0000])
+            .map(|bits| f32::from_bits(bits).to_string().len())
+            .max()
+            .unwrap();
+        // `<`: each value also carries its `,` or `;`.
+        assert!(widest < BYTES_PER_VALUE, "an f32 rendered {widest} bytes wide");
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::batcher::{BatcherConfig, MicroBatcher, Reply};
 use crate::engine::DecisionEngine;
 use crate::histogram::LatencyHistogram;
 use crate::loadgen::{arrival_offsets, synth_requests, LoadgenConfig};
-use crate::protocol::{format_response, parse_request};
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{format_response, max_request_len, parse_request};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -31,12 +31,48 @@ struct PumpStats {
     hist: LatencyHistogram,
 }
 
+/// What [`read_line_capped`] found.
+#[derive(Debug, PartialEq)]
+enum LineRead {
+    /// A line (without its `\n`) is in the buffer.
+    Line,
+    /// A line longer than the cap was skipped through its `\n`.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Read the next line of `input` into `buf`, holding at most `cap`
+/// bytes. A longer line is consumed through its newline without being
+/// buffered, so a stream that never sends `\n` costs no memory.
+fn read_line_capped<R: BufRead>(
+    input: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    let n = input.by_ref().take(cap as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        return Ok(LineRead::Line);
+    }
+    if n <= cap {
+        return Ok(LineRead::Line); // the last line, without a newline
+    }
+    buf.clear();
+    input.skip_until(b'\n')?;
+    Ok(LineRead::TooLong)
+}
+
 /// Read lines from `input`, submit to `batcher`, stream responses to
 /// `output` as they complete. Returns once `input` hits EOF and every
 /// accepted request has been answered.
 fn pump<R: BufRead, W: Write + Send + 'static>(
     batcher: &MicroBatcher,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> PumpStats {
     let (tx, rx) = mpsc::channel::<Reply>();
@@ -60,12 +96,27 @@ fn pump<R: BufRead, W: Write + Send + 'static>(
         let now = Instant::now();
         let _ = tx.send(Reply { id, action: None, submitted: now, completed: now, batch_size: 0 });
     };
-    for line in input.lines() {
-        let Ok(line) = line else { break };
+    let cap = max_request_len(batcher.engine().config());
+    let mut buf = Vec::new();
+    loop {
+        match read_line_capped(&mut input, &mut buf, cap) {
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                stats.malformed += 1;
+                eprintln!("mrsch-serve: malformed request: line longer than {cap} bytes");
+                continue;
+            }
+            Ok(LineRead::Eof) | Err(_) => break,
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            stats.malformed += 1;
+            eprintln!("mrsch-serve: malformed request: not UTF-8");
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match parse_request(&line) {
+        let req = match parse_request(line) {
             Ok(req) => req,
             Err(err) => {
                 stats.malformed += 1;
@@ -124,10 +175,12 @@ pub fn serve_stream<R: BufRead, W: Write + Send + 'static>(
 }
 
 /// Serve requests from stdin, responses to stdout, until EOF. The
-/// summary goes to stderr so piped output stays machine-parseable.
+/// summary goes to stderr so piped output stays machine-parseable;
+/// nothing is left for the caller to print.
 pub fn run_stdin(engine: DecisionEngine, cfg: BatcherConfig) -> Result<String, String> {
     let line = serve_stream(engine, cfg, std::io::stdin().lock(), std::io::stdout());
-    Ok(line)
+    eprintln!("{line}");
+    Ok(String::new())
 }
 
 /// Accept connections on `listener`, multiplexing all of them onto one
@@ -256,11 +309,10 @@ pub fn run_loadtest(
 mod tests {
     use super::*;
     use crate::engine::{build_engine, EngineSpec};
-    use crate::protocol::{format_request, parse_response};
+    use crate::protocol::{format_request, parse_response, Request};
     use std::io::Cursor;
     use std::net::TcpStream;
     use std::sync::Mutex;
-    use std::time::Duration;
 
     fn test_engine() -> DecisionEngine {
         build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..EngineSpec::default() })
@@ -298,12 +350,7 @@ mod tests {
         let input: String =
             reqs.iter().map(|r| format_request(r) + "\n").collect();
         let out = SharedBuf::default();
-        let line = serve_stream(
-            engine,
-            BatcherConfig { max_delay: Duration::from_millis(1), ..Default::default() },
-            Cursor::new(input),
-            out.clone(),
-        );
+        let line = serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
         assert!(line.contains("served 12 decisions"), "summary: {line}");
         let mut got = responses(&out);
         got.sort_unstable();
@@ -326,6 +373,63 @@ mod tests {
         // The misshapen-but-parseable request is refused with `none`.
         assert!(got.contains(&(7, None)), "shape-checked refusal: {got:?}");
         assert_eq!(got.len(), 3, "two decisions + one refusal");
+    }
+
+    #[test]
+    fn over_long_line_is_skipped_and_the_stream_goes_on() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 1, 44);
+        let expected = (reqs[0].id, engine.decide_one(&reqs[0]));
+        // 4 MiB with no newline, then a valid request.
+        let input = format!("{}\n{}\n", "1".repeat(4 << 20), format_request(&reqs[0]));
+        let out = SharedBuf::default();
+        let line = serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
+        assert!(line.contains("served 1 decisions (1 malformed"), "summary: {line}");
+        assert_eq!(responses(&out), [expected]);
+    }
+
+    #[test]
+    fn over_long_line_is_not_buffered() {
+        let cap = 1_000;
+        let input = format!("{}\nok\n{}", "x".repeat(4 << 20), "y".repeat(cap));
+        let mut input = Cursor::new(input);
+        let mut buf = Vec::new();
+        let mut seen = Vec::new();
+        loop {
+            let got = read_line_capped(&mut input, &mut buf, cap).unwrap();
+            assert!(buf.capacity() <= 2 * cap + 64, "buffered {} bytes", buf.capacity());
+            if got == LineRead::Eof {
+                break;
+            }
+            seen.push((got, buf.len()));
+        }
+        assert_eq!(seen, [(LineRead::TooLong, 0), (LineRead::Line, 2), (LineRead::Line, cap)]);
+    }
+
+    #[test]
+    fn longest_request_line_for_the_served_shapes_is_accepted() {
+        let engine = test_engine();
+        let cfg = engine.config().clone();
+        // The widest f32 renderings: the smallest normal and the largest
+        // subnormal print as ~48-byte decimals, f32::MAX as 40 bytes.
+        let widest = [f32::MIN, -f32::MIN_POSITIVE, f32::from_bits(0x807f_ffff), -f32::from_bits(1)]
+            .into_iter()
+            .max_by_key(|v| v.to_string().len())
+            .unwrap();
+        let req = Request {
+            id: u64::MAX,
+            state: vec![widest; cfg.state_dim],
+            meas: vec![widest; cfg.measurement_dim],
+            goal: vec![widest; cfg.measurement_dim],
+            valid: vec![true; cfg.num_actions],
+        };
+        let line = format_request(&req);
+        assert!(line.len() <= max_request_len(&cfg));
+        let out = SharedBuf::default();
+        let summary =
+            serve_stream(engine, BatcherConfig::default(), Cursor::new(line + "\n"), out.clone());
+        assert!(summary.contains("served 1 decisions (0 malformed"), "summary: {summary}");
+        assert_eq!(responses(&out).len(), 1);
     }
 
     #[test]
@@ -362,7 +466,7 @@ mod tests {
         let engine = test_engine();
         let report = run_loadtest(
             engine,
-            BatcherConfig { max_delay: Duration::from_micros(500), ..Default::default() },
+            BatcherConfig::default(),
             &LoadgenConfig { requests: 64, target_qps: 2_000.0, seed: 9 },
         );
         assert_eq!(report.total, 64);
